@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "base/error.hpp"
@@ -168,23 +167,18 @@ ShifterMetrics readMetrics(CheckpointReader& r) {
 }
 
 /// Shared result sink for the exact and streaming paths. Exact mode
-/// writes pre-sized per-sample slots (gathered serially in id order);
-/// streaming mode feeds O(1) accumulators under a mutex and keeps only
-/// the (rare) failure records, sorted by id at gather time — the
-/// record *contents* depend only on the sample, so failed_samples is
-/// bit-identical to the exact path for any thread count.
-///
-/// Checkpointed streaming runs use the `ordered` variant instead: the
-/// current epoch buffers per-sample slots and endEpoch() folds them
-/// into the accumulators serially in id order. The P² estimators are
-/// ingestion-order sensitive, so this is what makes checkpointed
-/// streaming summaries bit-identical across thread counts and across
-/// kill/resume (the accumulator state at every epoch boundary — the
-/// only state a checkpoint stores — no longer depends on scheduling).
+/// writes pre-sized per-sample slots (gathered serially in id order).
+/// Streaming mode buffers the current epoch's per-sample slots and
+/// endEpoch() folds them into O(1) accumulators serially in id order.
+/// The P² estimators are ingestion-order sensitive, so this is what
+/// makes streaming summaries bit-identical across thread counts, with
+/// or without a checkpoint, and across kill/resume (the accumulator
+/// state at every epoch boundary — the only state a checkpoint stores —
+/// does not depend on scheduling). Failure records come out in id
+/// order too, bit-identical to the exact path.
 class ResultSink {
  public:
-  ResultSink(bool streaming, size_t n, bool ordered)
-      : streaming_(streaming), ordered_(streaming && ordered), n_(n) {
+  ResultSink(bool streaming, size_t n) : streaming_(streaming), n_(n) {
     if (!streaming_) {
       metrics_.resize(n);
       threw_.assign(n, 0);
@@ -193,7 +187,7 @@ class ResultSink {
   }
 
   void beginEpoch(size_t begin, size_t end) {
-    if (!ordered_) return;
+    if (!streaming_) return;
     epoch_begin_ = begin;
     epoch_metrics_.assign(end - begin, ShifterMetrics{});
     epoch_threw_.assign(end - begin, 0);
@@ -201,8 +195,7 @@ class ResultSink {
   }
 
   void endEpoch(size_t begin, size_t end) {
-    if (!ordered_) return;
-    // Serial fold in id order (see class comment).
+    if (!streaming_) return;
     for (size_t s = begin; s < end; ++s) {
       const size_t k = s - epoch_begin_;
       if (epoch_threw_[k]) {
@@ -214,33 +207,23 @@ class ResultSink {
     }
   }
 
+  // Distinct slots per sample: no lock needed.
   void addMetrics(size_t s, const ShifterMetrics& m) {
-    if (!streaming_) {
+    if (streaming_) {
+      epoch_metrics_[s - epoch_begin_] = m;
+    } else {
       metrics_[s] = m;
-      return;
     }
-    if (ordered_) {
-      epoch_metrics_[s - epoch_begin_] = m;  // distinct slots: no lock needed
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    accumulate(s, m);
   }
 
   void addThrow(size_t s, SampleFailure failure) {
-    if (!streaming_) {
-      threw_[s] = 1;
-      throw_info_[s] = std::move(failure);
-      return;
-    }
-    if (ordered_) {
+    if (streaming_) {
       epoch_threw_[s - epoch_begin_] = 1;
       epoch_info_[s - epoch_begin_] = std::move(failure);
-      return;
+    } else {
+      threw_[s] = 1;
+      throw_info_[s] = std::move(failure);
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    failures_.push_back(std::move(failure));
-    ++simulation_errors_;
   }
 
   /// Serialize everything needed to resume after `watermark` completed
@@ -297,8 +280,6 @@ class ResultSink {
 
   void gather(MonteCarloResult& result) {
     if (streaming_) {
-      std::sort(failures_.begin(), failures_.end(),
-                [](const SampleFailure& a, const SampleFailure& b) { return a.id < b.id; });
       result.failed_samples = std::move(failures_);
       result.functional_failures = functional_failures_;
       result.simulation_errors = simulation_errors_;
@@ -347,21 +328,19 @@ class ResultSink {
   }
 
   bool streaming_;
-  bool ordered_;
   size_t n_;
   // Exact mode: pre-sized per-sample slots.
   std::vector<ShifterMetrics> metrics_;
   std::vector<uint8_t> threw_;
   std::vector<SampleFailure> throw_info_;
   // Streaming mode: O(1) accumulators + failure records only.
-  std::mutex mutex_;
   StreamingSummary delay_rise_, delay_fall_;
   StreamingSummary power_rise_, power_fall_;
   StreamingSummary leakage_high_, leakage_low_;
   std::vector<SampleFailure> failures_;
   int functional_failures_ = 0;
   int simulation_errors_ = 0;
-  // Ordered (checkpointed) streaming: current-epoch slot buffers.
+  // Streaming mode: current-epoch slot buffers.
   size_t epoch_begin_ = 0;
   std::vector<ShifterMetrics> epoch_metrics_;
   std::vector<uint8_t> epoch_threw_;
@@ -397,20 +376,21 @@ MonteCarloResult runMonteCarlo(const HarnessConfig& harness, const MonteCarloCon
     width = 1;
   }
 
-  // Checkpoint epochs: the run executes [0,n) in sequential epochs of
-  // `interval` samples, checkpointing at each boundary. Epochs are
-  // width-aligned so a lockstep batch never straddles a boundary (the
-  // batch grouping — and with it every lane result — must be identical
-  // between a resumed and an uninterrupted run).
+  // The run executes [0,n) in sequential epochs of `interval` samples:
+  // checkpoints are written at epoch boundaries, and streaming runs fold
+  // each epoch in id order, so their memory stays O(interval). Epochs
+  // are width-aligned so a lockstep batch never straddles a boundary
+  // (the batch grouping — and with it every lane result — must be
+  // identical between a resumed and an uninterrupted run).
   const bool use_ckpt = !config.checkpoint_path.empty() && n > 0;
-  size_t interval = n;
+  size_t interval = 1024;
   if (use_ckpt) {
     interval = config.checkpoint_interval > 0 ? static_cast<size_t>(config.checkpoint_interval)
                                               : std::max<size_t>(1024, n / 16);
-    interval = ((std::max(interval, width) + width - 1) / width) * width;
   }
+  interval = ((std::max(interval, width) + width - 1) / width) * width;
 
-  ResultSink sink(config.streaming, n, use_ckpt);
+  ResultSink sink(config.streaming, n);
   std::atomic<int> done{0};
   std::atomic<int> retried{0};
   std::atomic<int> retry_recovered{0};

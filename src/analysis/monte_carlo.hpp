@@ -76,7 +76,8 @@ struct MonteCarloConfig {
   SamplingMode sampling = SamplingMode::Pseudo;
   /// Streaming-statistics mode: per-sample metric vectors are never
   /// materialized; summaries come from O(1) Welford + P-squared
-  /// accumulators (MonteCarloResult::stream). failed_samples,
+  /// accumulators (MonteCarloResult::stream), fed in sample-id order
+  /// one epoch (>= 1024 samples) at a time. failed_samples,
   /// functional_failures and simulation_errors stay bit-identical to
   /// the exact path; quantile summaries agree within estimator
   /// accuracy. Off by default: the exact path remains the reference.
@@ -114,11 +115,11 @@ struct MonteCarloConfig {
   /// file (versioned + CRC-guarded, see io/checkpoint) after each
   /// epoch. An existing compatible file resumes from its completed-id
   /// watermark; resumed runs produce bit-identical results to
-  /// uninterrupted runs with the same config. In streaming mode,
-  /// checkpointing also makes accumulation epoch-ordered, so streaming
-  /// summaries become bit-identical across thread counts (the
-  /// unchecked-pointed streaming path stays mutex-ordered/approximate).
-  /// An incompatible file (different seed/mode/width/...) throws.
+  /// uninterrupted runs with the same config. Streaming runs fold
+  /// every epoch in sample-id order with or without a checkpoint, so
+  /// their summaries are bit-identical across thread counts and equal
+  /// to a checkpointed run's. An incompatible file (different
+  /// seed/mode/width/...) throws.
   std::string checkpoint_path;
   /// Samples per checkpoint epoch; 0 = auto (max(1024, samples/16)),
   /// always rounded up to a multiple of the ensemble width.

@@ -9,6 +9,7 @@
 #include "numeric/lanes.hpp"
 #include "sim/fault_injection.hpp"
 #include "sim/recovery.hpp"
+#include "sim/step_control.hpp"
 
 namespace vls {
 
@@ -73,16 +74,6 @@ std::string EnsembleSimulator::unknownName(size_t index) const {
   return "branch#" + std::to_string(index - num_nodes_);
 }
 
-void EnsembleSimulator::recordLaneFailure(size_t l, RecoveryStage stage) {
-  LaneFailure& failure = lane_failures_[l];
-  failure = attempt_failure_[l];
-  failure.valid = true;
-  failure.stage = stage;
-  if (failure.reason == NewtonFailureReason::None) {
-    failure.reason = NewtonFailureReason::IterationLimit;
-  }
-}
-
 DeviceLaneState* EnsembleSimulator::laneState(const Device& dev) {
   auto it = device_index_.find(&dev);
   if (it == device_index_.end()) {
@@ -117,15 +108,8 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
                                     const uint8_t* live, uint8_t* converged,
                                     size_t* iterations) {
   const size_t K = lanes_;
-  LaneContext ctx;
-  ctx.zero = zeros_.data();
-  ctx.lanes = K;
-  ctx.time = time;
-  ctx.dt = dt;
-  ctx.method = method;
-  ctx.temperature = options_.temperatureK();
+  LaneContext ctx = contextFor(x, time, dt, method, gmin);
   ctx.source_scale = source_scale;
-  ctx.gmin = gmin;
 
   FaultInjector* injector = options_.fault_injector.get();
 
@@ -227,50 +211,24 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
     x_new_ = sys_.rhs();
     lu_.solveInPlace(x_new_, pending_.data());
 
-    // Per-lane damping, bounding and tolerance checks — the scalar
-    // Newton formulas applied lane by lane. Converged lanes freeze:
-    // their unknowns stop moving while siblings keep iterating.
+    // Per-lane Newton update (non-finite guard, damping, bounding,
+    // convergence check). Converged lanes freeze: their unknowns stop
+    // moving while siblings keep iterating.
     for (size_t l = 0; l < K; ++l) {
       if (!pending_[l]) continue;
-      // Solution guard: abort the lane on the first NaN/Inf unknown,
-      // naming it, instead of letting NaN comparisons fake convergence.
-      int bad = -1;
-      double max_delta = 0.0;
-      int worst = -1;
-      for (size_t i = 0; i < num_unknowns_; ++i) {
-        const double v = x_new_[i * K + l];
-        if (!std::isfinite(v)) {
-          bad = static_cast<int>(i);
-          break;
-        }
-        const double delta = std::fabs(v - x[i * K + l]);
-        if (delta > max_delta) {
-          max_delta = delta;
-          worst = static_cast<int>(i);
-        }
-      }
-      if (bad >= 0) {
+      const NewtonUpdate update =
+          applyNewtonUpdate(options_, num_nodes_, num_unknowns_, x_new_.data(), x.data(), K, l);
+      if (update.non_finite >= 0) {
         pending_[l] = 0;
         attempt_failure_[l].reason = NewtonFailureReason::NonFinite;
-        attempt_failure_[l].node = unknownName(static_cast<size_t>(bad));
+        attempt_failure_[l].node = unknownName(static_cast<size_t>(update.non_finite));
         if (!stamp_fault.empty()) attempt_failure_[l].message = stamp_fault;
         continue;
       }
-      if (worst >= 0) attempt_failure_[l].node = unknownName(static_cast<size_t>(worst));
-      double scale = 1.0;
-      if (max_delta > options_.max_step_voltage) scale = options_.max_step_voltage / max_delta;
-
-      bool conv = scale == 1.0;
-      for (size_t i = 0; i < num_unknowns_; ++i) {
-        const size_t k = i * K + l;
-        const double next = x[k] + scale * (x_new_[k] - x[k]);
-        const double bounded = std::clamp(next, -options_.voltage_bound, options_.voltage_bound);
-        const double tol = (i < num_nodes_ ? options_.vntol : options_.abstol) +
-                           options_.reltol * std::max(std::fabs(bounded), std::fabs(x[k]));
-        if (std::fabs(bounded - x[k]) > tol) conv = false;
-        x[k] = bounded;
+      if (update.worst >= 0) {
+        attempt_failure_[l].node = unknownName(static_cast<size_t>(update.worst));
       }
-      if (conv && iter > 0) {
+      if (update.converged && iter > 0) {
         converged[l] = 1;
         pending_[l] = 0;
       }
@@ -284,12 +242,63 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
   return true;
 }
 
-std::vector<double> EnsembleSimulator::solveOp() {
+std::vector<uint8_t> EnsembleSimulator::holdouts(const std::vector<uint8_t>& conv) const {
+  std::vector<uint8_t> out(lanes_, 0);
+  for (size_t l = 0; l < lanes_; ++l) out[l] = failed_[l] == 0 && !conv[l];
+  return out;
+}
+
+std::vector<uint8_t> EnsembleSimulator::ladderLanes(double time, RecoveryStage stage,
+                                                    std::vector<uint8_t>& lanes,
+                                                    std::vector<double>& x,
+                                                    const std::vector<double>& x0,
+                                                    std::vector<uint8_t>& conv) {
   const size_t K = lanes_;
+  std::vector<uint8_t> lost(K, 0);
+  if (std::find(lanes.begin(), lanes.end(), 1) == lanes.end()) return lost;
+  if (FaultInjector* injector = options_.fault_injector.get()) injector->setStage(stage);
+  for (size_t k = 0; k < x.size(); ++k) {
+    if (lanes[k % K]) x[k] = x0[k];
+  }
+  const bool gmin_rungs = stage == RecoveryStage::GminStepping;
+  const std::vector<double> schedule =
+      gmin_rungs ? RecoveryEngine::gminSchedule(options_.recovery, options_.gmin)
+                 : RecoveryEngine::sourceSchedule(options_.recovery);
+  for (const double rung : schedule) {
+    newtonLanes(time, 0.0, IntegrationMethod::None, gmin_rungs ? 1.0 : rung,
+                gmin_rungs ? rung : options_.gmin, x, lanes.data(), conv.data(), nullptr);
+    bool any_left = false;
+    for (size_t l = 0; l < K; ++l) {
+      if (lanes[l] && !conv[l]) {
+        lanes[l] = 0;
+        lost[l] = 1;
+      }
+      any_left = any_left || lanes[l] != 0;
+    }
+    if (!any_left) break;
+  }
+  return lost;
+}
+
+void EnsembleSimulator::dropLanes(const std::vector<uint8_t>& lanes, RecoveryStage stage) {
+  for (size_t l = 0; l < lanes_; ++l) {
+    if (!lanes[l]) continue;
+    failed_[l] = 1;
+    LaneFailure& failure = lane_failures_[l];
+    failure = attempt_failure_[l];
+    failure.valid = true;
+    failure.stage = stage;
+    if (failure.reason == NewtonFailureReason::None) {
+      failure.reason = NewtonFailureReason::IterationLimit;
+    }
+  }
+}
+
+std::vector<double> EnsembleSimulator::solveOp() {
   FaultInjector* injector = options_.fault_injector.get();
   const std::vector<double> cold = coldStartSoA();
   std::vector<double> x = cold;
-  std::vector<uint8_t> conv(K, 0);
+  std::vector<uint8_t> conv(lanes_, 0);
 
   // 1) Direct Newton on every live lane.
   if (injector != nullptr) injector->setStage(RecoveryStage::DirectNewton);
@@ -297,73 +306,17 @@ std::vector<double> EnsembleSimulator::solveOp() {
               nullptr);
 
   // 2) Gmin ladder, in lockstep, for the holdouts — the same schedule
-  // the scalar RecoveryEngine runs. Lanes failing a rung fall through
-  // to source stepping.
-  std::vector<uint8_t> retry(K, 0);
-  bool any_retry = false;
-  for (size_t l = 0; l < K; ++l) {
-    if (failed_[l] == 0 && !conv[l]) {
-      retry[l] = 1;
-      any_retry = true;
-    }
-  }
-  std::vector<uint8_t> holdout(K, 0);
-  bool any_holdout = false;
-  if (any_retry) {
-    if (injector != nullptr) injector->setStage(RecoveryStage::GminStepping);
-    for (size_t i = 0; i < num_unknowns_; ++i) {
-      for (size_t l = 0; l < K; ++l) {
-        if (retry[l]) x[i * K + l] = cold[i * K + l];
-      }
-    }
-    for (const double gmin : RecoveryEngine::gminSchedule(options_.recovery, options_.gmin)) {
-      newtonLanes(0.0, 0.0, IntegrationMethod::None, 1.0, gmin, x, retry.data(), conv.data(),
-                  nullptr);
-      bool any_left = false;
-      for (size_t l = 0; l < K; ++l) {
-        if (retry[l] && !conv[l]) {
-          retry[l] = 0;
-          holdout[l] = 1;
-          any_holdout = true;
-        }
-        any_left = any_left || retry[l] != 0;
-      }
-      if (!any_left) break;
-    }
-  }
-
-  // 3) Source stepping, in lockstep, for lanes the gmin ladder lost.
-  // Lanes failing a rung drop out permanently with their failure
-  // record (the Monte-Carlo driver re-runs them through the scalar
-  // reference path, which additionally owns pseudo-transient).
-  if (any_holdout && options_.recovery.source_stepping) {
-    if (injector != nullptr) injector->setStage(RecoveryStage::SourceStepping);
-    for (size_t i = 0; i < num_unknowns_; ++i) {
-      for (size_t l = 0; l < K; ++l) {
-        if (holdout[l]) x[i * K + l] = cold[i * K + l];
-      }
-    }
-    for (const double scale : RecoveryEngine::sourceSchedule(options_.recovery)) {
-      newtonLanes(0.0, 0.0, IntegrationMethod::None, scale, options_.gmin, x, holdout.data(),
-                  conv.data(), nullptr);
-      bool any_left = false;
-      for (size_t l = 0; l < K; ++l) {
-        if (holdout[l] && !conv[l]) {
-          holdout[l] = 0;
-          failed_[l] = 1;
-          recordLaneFailure(l, RecoveryStage::SourceStepping);
-        }
-        any_left = any_left || holdout[l] != 0;
-      }
-      if (!any_left) break;
-    }
-  } else if (any_holdout) {
-    for (size_t l = 0; l < K; ++l) {
-      if (holdout[l]) {
-        failed_[l] = 1;
-        recordLaneFailure(l, RecoveryStage::GminStepping);
-      }
-    }
+  // the scalar RecoveryEngine runs — then 3) source stepping for the
+  // lanes it lost. Lanes failing that drop out permanently with their
+  // failure record (the Monte-Carlo driver re-runs them through the
+  // scalar reference path, which additionally owns pseudo-transient).
+  std::vector<uint8_t> retry = holdouts(conv);
+  std::vector<uint8_t> lost = ladderLanes(0.0, RecoveryStage::GminStepping, retry, x, cold, conv);
+  if (options_.recovery.source_stepping) {
+    dropLanes(ladderLanes(0.0, RecoveryStage::SourceStepping, lost, x, cold, conv),
+              RecoveryStage::SourceStepping);
+  } else {
+    dropLanes(lost, RecoveryStage::GminStepping);
   }
   if (injector != nullptr) injector->setStage(RecoveryStage::DirectNewton);
 
@@ -374,57 +327,27 @@ std::vector<double> EnsembleSimulator::solveOp() {
 }
 
 std::vector<double> EnsembleSimulator::solveOpAt(double time, std::vector<double> x0_soa) {
-  const size_t K = lanes_;
   FaultInjector* injector = options_.fault_injector.get();
-  x0_soa.resize(num_unknowns_ * K, 0.0);
+  x0_soa.resize(num_unknowns_ * lanes_, 0.0);
   const std::vector<double> x0 = x0_soa;  // pristine guess for ladder restarts
-  std::vector<uint8_t> conv(K, 0);
+  std::vector<uint8_t> conv(lanes_, 0);
   if (injector != nullptr) injector->setStage(RecoveryStage::DirectNewton);
   newtonLanes(time, 0.0, IntegrationMethod::None, 1.0, options_.gmin, x0_soa, nullptr,
               conv.data(), nullptr);
 
   // Gmin-ladder retry for the holdouts, from the pristine guess — the
   // same escalation solveOpAt gets on the scalar path.
-  std::vector<uint8_t> retry(K, 0);
-  bool any_retry = false;
-  for (size_t l = 0; l < K; ++l) {
-    if (failed_[l] == 0 && !conv[l]) {
-      retry[l] = 1;
-      any_retry = true;
-    }
-  }
-  if (any_retry && options_.recovery.gmin_stepping) {
-    if (injector != nullptr) injector->setStage(RecoveryStage::GminStepping);
-    for (size_t i = 0; i < num_unknowns_ * K; ++i) {
-      const size_t l = i % K;
-      if (retry[l]) x0_soa[i] = x0[i];
-    }
-    for (const double gmin : RecoveryEngine::gminSchedule(options_.recovery, options_.gmin)) {
-      newtonLanes(time, 0.0, IntegrationMethod::None, 1.0, gmin, x0_soa, retry.data(),
-                  conv.data(), nullptr);
-      bool any_left = false;
-      for (size_t l = 0; l < K; ++l) {
-        if (retry[l] && !conv[l]) {
-          retry[l] = 0;
-          failed_[l] = 1;
-          recordLaneFailure(l, RecoveryStage::GminStepping);
-        }
-        any_left = any_left || retry[l] != 0;
-      }
-      if (!any_left) break;
-    }
+  std::vector<uint8_t> retry = holdouts(conv);
+  if (options_.recovery.gmin_stepping) {
+    dropLanes(ladderLanes(time, RecoveryStage::GminStepping, retry, x0_soa, x0, conv),
+              RecoveryStage::GminStepping);
     if (injector != nullptr) injector->setStage(RecoveryStage::DirectNewton);
   } else {
-    for (size_t l = 0; l < K; ++l) {
-      if (retry[l]) {
-        failed_[l] = 1;
-        recordLaneFailure(l, RecoveryStage::DirectNewton);
-      }
-    }
+    dropLanes(retry, RecoveryStage::DirectNewton);
   }
   if (aliveLaneCount() == 0) {
-    throw ConvergenceError("EnsembleSimulator: solveOpAt failed on every lane at t = " +
-                           std::to_string(time));
+    throw ConvergenceError(
+        formatMessage("EnsembleSimulator: solveOpAt failed on every lane at t = %g", time));
   }
   return x0_soa;
 }
@@ -462,45 +385,17 @@ void EnsembleSimulator::transient(double t_stop, double dt_max, double dt_initia
       devices[i]->collectLaneBreakpoints(t_stop, state_ptrs_[i], breaks);
     }
   }
-  breaks.push_back(t_stop);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end(),
-                           [](double a, double b) { return std::fabs(a - b) < 1e-18; }),
-               breaks.end());
+  StepController steps(options_, t_stop, dt_max, dt_initial, std::move(breaks));
 
-  double t = 0.0;
-  double dt = dt_initial > 0.0 ? dt_initial : dt_max / 100.0;
-  dt = std::min(dt, dt_max);
   std::vector<double> x_prev = x;
-  double dt_prev = 0.0;
-  double dt_lte_accepted = -1.0;
-  int steps_since_break = 0;
-  size_t next_break = 0;
-  while (next_break < breaks.size() && breaks[next_break] <= 1e-18) ++next_break;
-
   std::vector<double> x_try(num_unknowns_ * K);
   std::vector<uint8_t> conv(K, 0);
-  while (t < t_stop - 1e-18) {
+  while (!steps.finished()) {
+    const double t = steps.time();
     if (options_.job_control != nullptr) {
       options_.job_control->throwIfInterrupted("ensemble-transient", t);
     }
-    bool hits_break = false;
-    double dt_eff = std::min(dt, dt_max);
-    if (next_break < breaks.size()) {
-      const double gap = breaks[next_break] - t;
-      if (dt_eff >= gap - 1e-18) {
-        dt_eff = gap;
-        hits_break = true;
-      } else if (dt_eff > 0.5 * gap) {
-        dt_eff = 0.5 * gap;  // avoid a tiny sliver step before the breakpoint
-      }
-    }
-
-    const IntegrationMethod method =
-        (options_.method == IntegrationMethod::BackwardEuler ||
-         steps_since_break < options_.be_steps_after_breakpoint)
-            ? IntegrationMethod::BackwardEuler
-            : IntegrationMethod::Trapezoidal;
+    const TransientStep& step = steps.propose();
 
     // Predictor warm start: seed Newton with the forward-Euler
     // extrapolation instead of the previous solution. The converged
@@ -510,98 +405,56 @@ void EnsembleSimulator::transient(double t_stop, double dt_max, double dt_initia
     // evaluations are multiplied by. Skipped right after breakpoints,
     // where the history slope spans a discontinuity.
     x_try = x;
-    if (dt_prev > 0.0 && steps_since_break >= 1) {
-      const double r = dt_eff / dt_prev;
+    if (steps.hasHistory()) {
+      const double r = step.dt / steps.lastAcceptedDt();
       for (size_t k = 0; k < x_try.size(); ++k) x_try[k] += (x[k] - x_prev[k]) * r;
     }
     size_t iters = 0;
     if (FaultInjector* injector = options_.fault_injector.get()) {
       injector->setStage(RecoveryStage::TransientStep);
     }
-    const bool all_converged = newtonLanes(t + dt_eff, dt_eff, method, 1.0, options_.gmin,
+    const bool all_converged = newtonLanes(step.t_new, step.dt, step.method, 1.0, options_.gmin,
                                            x_try, nullptr, conv.data(), &iters);
     total_newton_iterations_ += iters;
 
     if (!all_converged) {
       // Lockstep reject: every lane retries the smaller step, so the
       // shared time axis stays shared.
-      ++rejected_steps_;
-      dt = dt_eff * options_.dt_shrink;
-      if (dt < options_.dt_min) {
+      if (steps.rejectNewton()) {
         // Lanes that cannot advance even at dt_min drop out (with their
         // last attempt's failure record); survivors resume from a
         // cautious restart scale.
-        for (size_t l = 0; l < K; ++l) {
-          if (failed_[l] == 0 && !conv[l]) {
-            failed_[l] = 1;
-            recordLaneFailure(l, RecoveryStage::TransientStep);
-          }
-        }
+        dropLanes(holdouts(conv), RecoveryStage::TransientStep);
         if (aliveLaneCount() == 0) {
-          throw ConvergenceError("EnsembleSimulator: timestep underflow at t = " +
-                                 std::to_string(t) + " on every lane");
+          rejected_steps_ = steps.rejectedSteps();
+          throw ConvergenceError(formatMessage(
+              "EnsembleSimulator: timestep underflow at t = %g on every lane", t));
         }
-        dt = dt_max / 100.0;
+        steps.restartCautious();
       }
       continue;
     }
 
-    // Predictor-based LTE, maxed over live lanes: the ensemble advances
-    // with the dt every live lane accepts.
-    double err = 0.0;
-    if (dt_prev > 0.0 && steps_since_break >= 1) {
-      for (size_t i = 0; i < num_unknowns_; ++i) {
-        for (size_t l = 0; l < K; ++l) {
-          if (failed_[l]) continue;
-          const size_t k = i * K + l;
-          const double slope = (x[k] - x_prev[k]) / dt_prev;
-          const double pred = x[k] + slope * dt_eff;
-          const double tol = options_.tran_vntol +
-                             options_.tran_reltol * std::max(std::fabs(x_try[k]), std::fabs(x[k]));
-          err = std::max(err, std::fabs(x_try[k] - pred) / tol);
-        }
-      }
-    }
-
-    if (err > 8.0 && dt_eff > 16.0 * options_.dt_min) {
-      ++rejected_steps_;
-      dt = dt_eff * options_.dt_shrink;
-      continue;
-    }
+    // LTE maxed over live lanes: the ensemble advances with the dt
+    // every live lane accepts.
+    const double err = steps.lteError(x, x_prev, x_try, K, failed_.data());
+    if (steps.rejectLte(err)) continue;
 
     // Accept on every lane.
-    const double t_new = t + dt_eff;
     {
-      const LaneContext ctx = contextFor(x_try, t_new, dt_eff, method, options_.gmin);
+      const LaneContext ctx = contextFor(x_try, step.t_new, step.dt, step.method, options_.gmin);
       const auto& devices = circuit_.devices();
       for (size_t i = 0; i < devices.size(); ++i) {
         if (devices[i]->supportsLanes()) devices[i]->acceptStepLanes(ctx, state_ptrs_[i]);
       }
     }
     x_prev = x;
-    dt_prev = dt_eff;
     x = x_try;
-    t = t_new;
-    time_.push_back(t);
+    time_.push_back(step.t_new);
     data_.push_back(x);
-
-    if (hits_break) {
-      ++next_break;
-      steps_since_break = 0;
-      // Same restart rule as the scalar engine: cautious dt_max / 100
-      // unless the LTE controller proved a larger scale safe pre-edge.
-      double dt_restart = std::min(dt_eff, dt_max / 100.0);
-      if (dt_lte_accepted > dt_restart) dt_restart = std::min(dt_lte_accepted, dt_max);
-      dt = dt_restart;
-      dt_lte_accepted = -1.0;
-    } else {
-      ++steps_since_break;
-      const double grow = err > 1e-9 ? std::min(options_.dt_grow_max, 0.9 / std::sqrt(err))
-                                     : options_.dt_grow_max;
-      dt_lte_accepted = grow < options_.dt_grow_max ? dt_eff : -1.0;
-      dt = dt_eff * std::max(0.5, grow);
-    }
+    steps.accept(err);
   }
+  rejected_steps_ = steps.rejectedSteps();
 }
 
 std::vector<double> EnsembleSimulator::laneSolution(size_t step, size_t l) const {

@@ -5,14 +5,13 @@
 // in contiguous double[K] runs so device evaluation, assembly scatter
 // and the LU elimination all run as vectorizable lane loops.
 //
-// Control flow mirrors the scalar Simulator exactly:
-//  - Newton: per-lane damping, clamping and tolerance checks with the
-//    scalar formulas; converged lanes freeze (their unknowns stop
-//    moving) while the rest keep iterating.
-//  - Timestep: one ensemble dt, chosen as the step every live lane
-//    accepts (LTE err = max over live lanes). Breakpoints, the
-//    BE-after-breakpoint damping and the post-edge dt restart rule are
-//    shared verbatim with the scalar engine.
+// Step control and the Newton update are shared with the scalar
+// Simulator (sim/step_control.hpp), so the engines cannot drift apart:
+//  - Newton: applyNewtonUpdate per lane; converged lanes freeze (their
+//    unknowns stop moving) while the rest keep iterating.
+//  - Timestep: one StepController for the ensemble; its LTE error is
+//    the max over live lanes, so the shared dt is the step every live
+//    lane accepts.
 //  - Failure is per-lane: a lane whose Newton or pivot fails drops out
 //    (laneFailed) without disturbing its siblings; the Monte-Carlo
 //    driver re-runs such samples through the scalar reference path.
@@ -120,11 +119,11 @@ class EnsembleSimulator {
                          IntegrationMethod method, double gmin) const;
   /// Lockstep Newton on the lanes selected by `live` (null = all lanes
   /// not yet failed). Per-lane convergence flags go to `converged`;
-  /// returns true when every selected lane converged. Mirrors
-  /// Simulator::newtonAttempt per lane: same damping, bound and
-  /// tolerance formulas, same `iter > 0` requirement, same non-finite
-  /// guards and fault-injection hooks. Per-lane failure details land in
-  /// attempt_failure_ (reason/node/message of the last attempt).
+  /// returns true when every selected lane converged. Each lane takes
+  /// applyNewtonUpdate with the same `iter > 0` requirement, non-finite
+  /// guards and fault-injection hooks as Simulator::newtonAttempt.
+  /// Per-lane failure details land in attempt_failure_ (reason/node/
+  /// message of the last attempt).
   bool newtonLanes(double time, double dt, IntegrationMethod method, double source_scale,
                    double gmin, std::vector<double>& x, const uint8_t* live,
                    uint8_t* converged, size_t* iterations);
@@ -133,9 +132,18 @@ class EnsembleSimulator {
   /// Cold-start guess in SoA layout: zeros, or the options_.nodeset
   /// prefix broadcast to every lane.
   std::vector<double> coldStartSoA() const;
-  /// Promote lane l's last attempt failure (attempt_failure_) into its
-  /// permanent LaneFailure record, tagged with the ladder stage.
-  void recordLaneFailure(size_t l, RecoveryStage stage);
+  /// Live lanes that did not converge.
+  std::vector<uint8_t> holdouts(const std::vector<uint8_t>& conv) const;
+  /// One recovery-ladder stage (GminStepping or SourceStepping) in
+  /// lockstep over `lanes`: those lanes restart from x0, then each rung
+  /// of the stage's schedule runs newtonLanes; a lane failing a rung
+  /// leaves `lanes`. Returns the lanes lost.
+  std::vector<uint8_t> ladderLanes(double time, RecoveryStage stage, std::vector<uint8_t>& lanes,
+                                   std::vector<double>& x, const std::vector<double>& x0,
+                                   std::vector<uint8_t>& conv);
+  /// Mark `lanes` permanently failed: each lane's last attempt failure
+  /// (attempt_failure_) becomes its LaneFailure record, tagged `stage`.
+  void dropLanes(const std::vector<uint8_t>& lanes, RecoveryStage stage);
 
   Circuit& circuit_;
   SimOptions options_;

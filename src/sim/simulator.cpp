@@ -10,6 +10,7 @@
 #include "numeric/lu_sparse.hpp"
 #include "sim/fault_injection.hpp"
 #include "sim/recovery.hpp"
+#include "sim/step_control.hpp"
 
 namespace vls {
 
@@ -127,11 +128,9 @@ NewtonOutcome Simulator::newtonAttempt(double time, double dt, IntegrationMethod
   MnaSystem& system = system_;
   FaultInjector* injector = options_.fault_injector.get();
 
-  EvalContext ctx;
-  ctx.time = time;
+  EvalContext ctx = contextFor(x, time);
   ctx.dt = dt;
   ctx.method = method;
-  ctx.temperature = options_.temperatureK();
   ctx.source_scale = source_scale;
   ctx.gmin = gmin;
 
@@ -228,49 +227,23 @@ NewtonOutcome Simulator::newtonAttempt(double time, double dt, IntegrationMethod
       return out;
     }
 
-    // Solution guard: abort on the first NaN/Inf unknown instead of
-    // iterating to the limit (or silently "converging" on NaN, whose
-    // comparisons are all false).
-    for (size_t i = 0; i < num_unknowns_; ++i) {
-      if (!std::isfinite(x_new[i])) {
-        out.failure = NewtonFailureReason::NonFinite;
-        out.worst_index = static_cast<int>(i);
-        return out;
-      }
+    // Non-finite guard, damping, bounding and the convergence check.
+    const NewtonUpdate update =
+        applyNewtonUpdate(options_, num_nodes_, num_unknowns_, x_new.data(), x.data());
+    if (update.non_finite >= 0) {
+      out.failure = NewtonFailureReason::NonFinite;
+      out.worst_index = update.non_finite;
+      return out;
     }
-
-    // Damping: scale the whole update if any component moves too far;
-    // preserves the Newton direction.
-    double max_delta = 0.0;
-    int worst = -1;
-    for (size_t i = 0; i < num_unknowns_; ++i) {
-      const double delta = std::fabs(x_new[i] - x[i]);
-      if (delta > max_delta) {
-        max_delta = delta;
-        worst = static_cast<int>(i);
-      }
-    }
-    out.worst_delta = max_delta;
-    out.worst_index = worst;
+    out.worst_delta = update.max_delta;
+    out.worst_index = update.worst;
     if (trace_depth > 0) {
       if (out.trace.size() >= static_cast<size_t>(trace_depth)) {
         out.trace.erase(out.trace.begin());
       }
-      out.trace.push_back({static_cast<size_t>(iter), max_delta});
+      out.trace.push_back({static_cast<size_t>(iter), update.max_delta});
     }
-    double scale = 1.0;
-    if (max_delta > options_.max_step_voltage) scale = options_.max_step_voltage / max_delta;
-
-    bool converged = scale == 1.0;
-    for (size_t i = 0; i < num_unknowns_; ++i) {
-      const double next = x[i] + scale * (x_new[i] - x[i]);
-      const double bounded = std::clamp(next, -options_.voltage_bound, options_.voltage_bound);
-      const double tol = (i < num_nodes_ ? options_.vntol : options_.abstol) +
-                         options_.reltol * std::max(std::fabs(bounded), std::fabs(x[i]));
-      if (std::fabs(bounded - x[i]) > tol) converged = false;
-      x[i] = bounded;
-    }
-    if (converged && iter > 0) {
+    if (update.converged && iter > 0) {
       out.converged = true;
       return out;
     }
@@ -522,85 +495,48 @@ TransientResult Simulator::transient(double t_stop, double dt_max, double dt_ini
   // Breakpoints: source corners are hard barriers.
   std::vector<double> breaks;
   for (const auto& dev : circuit_.devices()) dev->collectBreakpoints(t_stop, breaks);
-  breaks.push_back(t_stop);
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end(),
-                           [](double a, double b) { return std::fabs(a - b) < 1e-18; }),
-               breaks.end());
+  StepController steps(options_, t_stop, dt_max, dt_initial, std::move(breaks));
 
-  double t = 0.0;
-  double dt = dt_initial > 0.0 ? dt_initial : dt_max / 100.0;
-  dt = std::min(dt, dt_max);
-  std::vector<double> x_prev = x;       // solution one accepted step back
-  double dt_prev = 0.0;
-  // Last accepted dt that the LTE controller was actively limiting
-  // (grow < dt_grow_max); -1 when the circuit was coasting at dt_max.
-  double dt_lte_accepted = -1.0;
-  int steps_since_break = 0;
-  size_t next_break = 0;
-  while (next_break < breaks.size() && breaks[next_break] <= 1e-18) ++next_break;
+  FaultInjector* injector = options_.fault_injector.get();
+  const auto recordStep = [this](StageAttempt& attempt, const NewtonOutcome& o) {
+    attempt.newton_iterations += o.iterations;
+    attempt.converged = o.converged;
+    attempt.failure = o.failure;
+    attempt.worst_residual = o.worst_delta;
+    attempt.worst_node = o.worst_index >= 0 ? unknownName(o.worst_index) : "";
+    attempt.singular_node = o.singular_index >= 0 ? unknownName(o.singular_index) : "";
+    if (!o.injected.empty()) attempt.injected_fault = o.injected;
+    attempt.trace = o.trace;
+  };
 
+  std::vector<double> x_prev = x;  // solution one accepted step back
   std::vector<double> x_try(num_unknowns_);
-  while (t < t_stop - 1e-18) {
+  while (!steps.finished()) {
+    const double t = steps.time();
     if (options_.job_control != nullptr) {
       options_.job_control->throwIfInterrupted("transient", t);
     }
-    // Clamp the step to the next breakpoint.
-    bool hits_break = false;
-    double dt_eff = std::min(dt, dt_max);
-    if (next_break < breaks.size()) {
-      const double gap = breaks[next_break] - t;
-      if (dt_eff >= gap - 1e-18) {
-        dt_eff = gap;
-        hits_break = true;
-      } else if (dt_eff > 0.5 * gap) {
-        dt_eff = 0.5 * gap;  // avoid a tiny sliver step before the breakpoint
-      }
-    }
-
-    const IntegrationMethod method =
-        (options_.method == IntegrationMethod::BackwardEuler ||
-         steps_since_break < options_.be_steps_after_breakpoint)
-            ? IntegrationMethod::BackwardEuler
-            : IntegrationMethod::Trapezoidal;
-
-    FaultInjector* injector = options_.fault_injector.get();
-    const auto recordStep = [this](StageAttempt& attempt, const NewtonOutcome& o) {
-      attempt.newton_iterations += o.iterations;
-      attempt.converged = o.converged;
-      attempt.failure = o.failure;
-      attempt.worst_residual = o.worst_delta;
-      attempt.worst_node = o.worst_index >= 0 ? unknownName(o.worst_index) : "";
-      attempt.singular_node = o.singular_index >= 0 ? unknownName(o.singular_index) : "";
-      if (!o.injected.empty()) attempt.injected_fault = o.injected;
-      attempt.trace = o.trace;
-    };
+    const TransientStep& step = steps.propose();
 
     x_try = x;
     if (injector != nullptr) injector->setStage(RecoveryStage::TransientStep);
     const NewtonOutcome step_out =
-        newtonAttempt(t + dt_eff, dt_eff, method, 1.0, options_.gmin, x_try);
+        newtonAttempt(step.t_new, step.dt, step.method, 1.0, options_.gmin, x_try);
     result.total_newton_iterations += step_out.iterations;
-    bool converged = step_out.converged;
 
-    if (!converged) {
-      ++result.rejected_steps;
-      const double dt_next = dt_eff * options_.dt_shrink;
-      if (dt_next >= options_.dt_min) {
-        dt = dt_next;
-        continue;
-      }
+    if (!step_out.converged) {
+      if (!steps.rejectNewton()) continue;
       // dt is exhausted: one last gmin-ladder rescue at this very step
       // (the fixed-dt analogue of the OP ladder) before declaring
       // underflow — with the full stage record either way.
       ConvergenceDiagnostics diag;
       diag.context = "transient";
       diag.time = t;
-      diag.last_dt = dt_prev;
+      diag.last_dt = steps.lastAcceptedDt();
       StageAttempt& step_attempt = diag.stages.emplace_back();
       step_attempt.stage = RecoveryStage::TransientStep;
       step_attempt.rungs = 1;
-      step_attempt.detail = "dt=" + std::to_string(dt_eff);
+      step_attempt.detail = formatMessage("dt=%g", step.dt);
       recordStep(step_attempt, step_out);
       bool rescued = false;
       if (options_.recovery.gmin_stepping) {
@@ -611,8 +547,8 @@ TransientResult Simulator::transient(double t_stop, double dt_max, double dt_ini
         rescued = true;
         for (const double g : RecoveryEngine::gminSchedule(options_.recovery, options_.gmin)) {
           ++gmin_attempt.rungs;
-          gmin_attempt.detail = "gmin=" + std::to_string(g);
-          const NewtonOutcome o = newtonAttempt(t + dt_eff, dt_eff, method, 1.0, g, x_try);
+          gmin_attempt.detail = formatMessage("gmin=%g", g);
+          const NewtonOutcome o = newtonAttempt(step.t_new, step.dt, step.method, 1.0, g, x_try);
           result.total_newton_iterations += o.iterations;
           recordStep(gmin_attempt, o);
           if (!o.converged) {
@@ -623,73 +559,29 @@ TransientResult Simulator::transient(double t_stop, double dt_max, double dt_ini
         if (injector != nullptr) injector->setStage(RecoveryStage::TransientStep);
       }
       if (!rescued) {
-        throw RecoveryError("transient: timestep underflow at t = " + std::to_string(t),
+        throw RecoveryError(formatMessage("transient: timestep underflow at t = %g", t),
                             std::move(diag));
       }
       diag.recovered = true;
       result.recovery_events.push_back(std::move(diag));
-      converged = true;
     }
 
-    // Predictor-based local truncation error estimate.
-    double err = 0.0;
-    if (dt_prev > 0.0 && steps_since_break >= 1) {
-      for (size_t i = 0; i < num_unknowns_; ++i) {
-        const double slope = (x[i] - x_prev[i]) / dt_prev;
-        const double pred = x[i] + slope * dt_eff;
-        const double tol = options_.tran_vntol +
-                           options_.tran_reltol * std::max(std::fabs(x_try[i]), std::fabs(x[i]));
-        err = std::max(err, std::fabs(x_try[i] - pred) / tol);
-      }
-    }
-
-    if (err > 8.0 && dt_eff > 16.0 * options_.dt_min) {
-      // Reject: the step was too aggressive.
-      ++result.rejected_steps;
-      dt = dt_eff * options_.dt_shrink;
-      continue;
-    }
+    const double err = steps.lteError(x, x_prev, x_try);
+    if (steps.rejectLte(err)) continue;
 
     // Accept.
-    const double t_new = t + dt_eff;
     {
-      EvalContext ctx;
-      ctx.x = std::span<const double>(x_try);
-      ctx.time = t_new;
-      ctx.dt = dt_eff;
-      ctx.method = method;
-      ctx.temperature = options_.temperatureK();
-      ctx.gmin = options_.gmin;
+      EvalContext ctx = contextFor(x_try, step.t_new);
+      ctx.dt = step.dt;
+      ctx.method = step.method;
       for (const auto& dev : circuit_.devices()) dev->acceptStep(ctx);
     }
     x_prev = x;
-    dt_prev = dt_eff;
     x = x_try;
-    t = t_new;
-    result.append(t, x);
-
-    if (hits_break) {
-      ++next_break;
-      steps_since_break = 0;
-      // Restart after an edge: cautious (dt_max / 100) by default. But
-      // when the LTE controller was actively limiting dt before the
-      // edge, its last accepted step is a proven-safe scale for this
-      // circuit's dynamics — resuming there avoids re-growing from the
-      // hard reset over dozens of accepted steps. The edge step itself
-      // (dt_eff, clamped to the breakpoint gap) can be an arbitrarily
-      // small sliver and says nothing about the circuit.
-      double dt_restart = std::min(dt_eff, dt_max / 100.0);
-      if (dt_lte_accepted > dt_restart) dt_restart = std::min(dt_lte_accepted, dt_max);
-      dt = dt_restart;
-      dt_lte_accepted = -1.0;
-    } else {
-      ++steps_since_break;
-      const double grow = err > 1e-9 ? std::min(options_.dt_grow_max, 0.9 / std::sqrt(err))
-                                     : options_.dt_grow_max;
-      dt_lte_accepted = grow < options_.dt_grow_max ? dt_eff : -1.0;
-      dt = dt_eff * std::max(0.5, grow);
-    }
+    result.append(step.t_new, x);
+    steps.accept(err);
   }
+  result.rejected_steps = steps.rejectedSteps();
   return result;
 }
 

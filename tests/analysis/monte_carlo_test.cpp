@@ -313,6 +313,36 @@ void expectSummariesClose(const char* what, const Summary& exact, const Summary&
   EXPECT_DOUBLE_EQ(exact.max, stream.max) << what;
 }
 
+/// Removes the checkpoint file on construction and destruction.
+struct ScopedCkpt {
+  explicit ScopedCkpt(std::string p) : path(std::move(p)) { std::remove(path.c_str()); }
+  ~ScopedCkpt() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+void expectSummaryBitEqual(const char* what, const Summary& a, const Summary& b) {
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.stddev, b.stddev) << what;
+  EXPECT_EQ(a.min, b.min) << what;
+  EXPECT_EQ(a.max, b.max) << what;
+  EXPECT_EQ(a.p05, b.p05) << what;
+  EXPECT_EQ(a.median, b.median) << what;
+  EXPECT_EQ(a.p95, b.p95) << what;
+}
+
+/// Streaming results agree bit for bit: failure records and every
+/// summary field of every metric.
+void expectStreamBitEqual(const MonteCarloResult& a, const MonteCarloResult& b) {
+  EXPECT_EQ(a.failed_samples, b.failed_samples);
+  expectSummaryBitEqual("delay_rise", a.stream.delay_rise, b.stream.delay_rise);
+  expectSummaryBitEqual("delay_fall", a.stream.delay_fall, b.stream.delay_fall);
+  expectSummaryBitEqual("power_rise", a.stream.power_rise, b.stream.power_rise);
+  expectSummaryBitEqual("power_fall", a.stream.power_fall, b.stream.power_fall);
+  expectSummaryBitEqual("leakage_high", a.stream.leakage_high, b.stream.leakage_high);
+  expectSummaryBitEqual("leakage_low", a.stream.leakage_low, b.stream.leakage_low);
+}
+
 TEST(MonteCarloStreaming, MatchesExactOnRealHarness) {
   HarnessConfig h;
   h.kind = ShifterKind::Sstvs;
@@ -332,6 +362,18 @@ TEST(MonteCarloStreaming, MatchesExactOnRealHarness) {
   EXPECT_DOUBLE_EQ(stream.delayRise().min, exact.delayRise().min);
   EXPECT_DOUBLE_EQ(stream.delayRise().max, exact.delayRise().max);
   expectSummariesClose("delay_rise", exact.delayRise(), stream.delayRise(), 0.05);
+
+  // Streaming folds each epoch in sample-id order with or without a
+  // checkpoint: the summaries equal a checkpointed run's exactly, and
+  // do not depend on the thread count.
+  ScopedCkpt f("test_mc_stream_real.vlsckpt");
+  MonteCarloConfig checkpointed = mc;
+  checkpointed.checkpoint_path = f.path;
+  expectStreamBitEqual(stream, runMonteCarlo(h, checkpointed));
+  mc.threads = 1;
+  const MonteCarloResult stream1 = runMonteCarlo(h, mc);
+  mc.threads = 4;
+  expectStreamBitEqual(stream1, runMonteCarlo(h, mc));
 }
 
 // The 10^5-sample acceptance smoke on the surrogate evaluator:
@@ -461,24 +503,6 @@ TEST(MonteCarloQmc, ThreadAndWidthInvariantPerMode) {
 // uninterrupted run — metric vectors, failure records, and (in
 // streaming mode) every summary field.
 
-/// Removes the checkpoint file on construction and destruction.
-struct ScopedCkpt {
-  explicit ScopedCkpt(std::string p) : path(std::move(p)) { std::remove(path.c_str()); }
-  ~ScopedCkpt() { std::remove(path.c_str()); }
-  std::string path;
-};
-
-void expectSummaryBitEqual(const char* what, const Summary& a, const Summary& b) {
-  EXPECT_EQ(a.count, b.count) << what;
-  EXPECT_EQ(a.mean, b.mean) << what;
-  EXPECT_EQ(a.stddev, b.stddev) << what;
-  EXPECT_EQ(a.min, b.min) << what;
-  EXPECT_EQ(a.max, b.max) << what;
-  EXPECT_EQ(a.p05, b.p05) << what;
-  EXPECT_EQ(a.median, b.median) << what;
-  EXPECT_EQ(a.p95, b.p95) << what;
-}
-
 /// Runs `mc` with a deterministic kill after `kill_after` completed
 /// samples, then resumes from the checkpoint and returns the result.
 MonteCarloResult killThenResume(const HarnessConfig& h, MonteCarloConfig mc,
@@ -545,14 +569,8 @@ TEST(MonteCarloCheckpoint, StreamingKillResumeBitIdenticalAcrossThreads) {
     run.threads = threads;
     run.checkpoint_path = f.path;
     const MonteCarloResult resumed = killThenResume(h, run, 9000);
-    EXPECT_EQ(resumed.failed_samples, ref.failed_samples) << "threads " << threads;
-    expectSummaryBitEqual("delay_rise", ref.stream.delay_rise, resumed.stream.delay_rise);
-    expectSummaryBitEqual("delay_fall", ref.stream.delay_fall, resumed.stream.delay_fall);
-    expectSummaryBitEqual("power_rise", ref.stream.power_rise, resumed.stream.power_rise);
-    expectSummaryBitEqual("power_fall", ref.stream.power_fall, resumed.stream.power_fall);
-    expectSummaryBitEqual("leakage_high", ref.stream.leakage_high,
-                          resumed.stream.leakage_high);
-    expectSummaryBitEqual("leakage_low", ref.stream.leakage_low, resumed.stream.leakage_low);
+    SCOPED_TRACE(threads);
+    expectStreamBitEqual(ref, resumed);
   }
 }
 

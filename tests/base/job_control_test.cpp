@@ -107,21 +107,22 @@ TEST(JobControl, CancelStopsParallelFor) {
   // A cancel from outside the pool stops a parallel region: workers
   // observe the token at chunk boundaries and the region rethrows the
   // interruption. Run under TSan in CI (concurrent cancel vs checks).
+  // The first item to run cancels, whichever index it is: a descheduled
+  // owner of index 0 can have the rest of its range stolen and reach
+  // index 0 last.
   JobControl job;
   std::atomic<int> visited{0};
   ParallelOptions opt;
   opt.num_threads = 4;
   opt.chunk = 1;
   opt.job = &job;
-  EXPECT_THROW(
-      parallelForChunked(
-          100000,
-          [&](size_t i) {
-            if (i == 0) job.cancel();
-            visited.fetch_add(1, std::memory_order_relaxed);
-          },
-          opt),
-      JobInterrupted);
+  EXPECT_THROW(parallelForChunked(
+                   100000,
+                   [&](size_t) {
+                     if (visited.fetch_add(1, std::memory_order_relaxed) == 0) job.cancel();
+                   },
+                   opt),
+               JobInterrupted);
   // Cooperative, not instant: some work runs, but nowhere near all.
   EXPECT_LT(visited.load(), 100000);
 }

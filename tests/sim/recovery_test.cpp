@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,13 @@
 
 namespace vls {
 namespace {
+
+/// The number printed right after `key` in `text` (0 when absent).
+double numberAfter(const std::string& text, const std::string& key) {
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return 0.0;
+  return std::strtod(text.c_str() + at + key.size(), nullptr);
+}
 
 SimOptions withFault(FaultSpec spec) {
   SimOptions opts;
@@ -277,6 +285,13 @@ TEST(Recovery, TransientUnderflowCarriesDiagnosticsPayload) {
     EXPECT_EQ(d.stages[0].stage, RecoveryStage::TransientStep);
     EXPECT_EQ(d.stages[1].stage, RecoveryStage::GminStepping);
     EXPECT_EQ(d.stages[1].failure, NewtonFailureReason::InjectedFault);
+    // The message and the stage details carry readable magnitudes, not
+    // fixed-point renderings that round a nanosecond to zero.
+    const double t_msg = numberAfter(e.what(), "t = ");
+    EXPECT_GT(t_msg, 0.5e-9);
+    EXPECT_LT(t_msg, 1.5e-9);
+    EXPECT_GT(numberAfter(d.stages[0].detail, "dt="), 0.0) << d.stages[0].detail;
+    EXPECT_GT(numberAfter(d.stages[1].detail, "gmin="), 0.0) << d.stages[1].detail;
   }
 }
 
@@ -363,6 +378,22 @@ TEST(EnsembleRecovery, MidTransientLaneDropRecordsTransientStage) {
   // The surviving lane finishes the run with the right physics.
   const TransientResult lane0 = ens.laneResult(0);
   EXPECT_NEAR(lane0.node("b").value.back(), 1.0, 1e-3);
+
+  // The same fault on every lane: all-lanes underflow, whose message
+  // names the failure time.
+  Circuit all_c;
+  buildRc(all_c);
+  spec.lane = -1;
+  EnsembleSimulator all(all_c, 2, withFault(spec));
+  try {
+    all.transient(2e-9, 1e-10);
+    FAIL() << "expected ConvergenceError";
+  } catch (const ConvergenceError& e) {
+    EXPECT_NE(std::string(e.what()).find("every lane"), std::string::npos) << e.what();
+    const double t_msg = numberAfter(e.what(), "t = ");
+    EXPECT_GT(t_msg, 0.5e-9) << e.what();
+    EXPECT_LT(t_msg, 1.5e-9) << e.what();
+  }
 }
 
 TEST(Recovery, SingularPivotAttributionSurvivesReordering) {
