@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "devices/model_library.hpp"
 #include "devices/mosfet.hpp"
@@ -12,13 +13,19 @@
 namespace vls {
 namespace {
 
+constexpr const char* kCardNames[] = {"nmos", "nmos_hvt", "nmos_lvt", "pmos", "pmos_hvt"};
+
+// The parameter holds an index, not a name pointer: gtest prints the
+// parameter's bytes into each listed test name, and a pointer's bytes
+// change with every run's address layout, so the names would too.
 struct CardCase {
-  const char* name;
+  std::uint64_t index;
+  const char* name() const { return kCardNames[index]; }
 };
 
 class MosCardProperty : public ::testing::TestWithParam<CardCase> {
  protected:
-  MosModelRef card() const { return modelByName(GetParam().name); }
+  MosModelRef card() const { return modelByName(GetParam().name()); }
   MosOperating op(double temp = 300.15) const {
     MosGeometry g;
     g.w = 300e-9;
@@ -125,11 +132,10 @@ TEST_P(MosCardProperty, BulkPartialClosesKcl) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCards, MosCardProperty,
-                         ::testing::Values(CardCase{"nmos"}, CardCase{"nmos_hvt"},
-                                           CardCase{"nmos_lvt"}, CardCase{"pmos"},
-                                           CardCase{"pmos_hvt"}),
+                         ::testing::Values(CardCase{0}, CardCase{1}, CardCase{2},
+                                           CardCase{3}, CardCase{4}),
                          [](const ::testing::TestParamInfo<CardCase>& param_info) {
-                           return std::string(param_info.param.name);
+                           return std::string(param_info.param.name());
                          });
 
 }  // namespace
