@@ -1,286 +1,34 @@
-// Characterization-farm perf bench: lane-batched vs scalar-loop
-// points/sec at threads {1, 4} x lane width {1, 8}, the lane-vs-scalar
-// table agreement, and one full production farm run (every cell kind x
-// the standard corner set, 5x5 NLDM grids) written out as
-// sstvs_nldm.lib and checked against the structure validator.
-//
-// Results merge into BENCH_perf.json as the "characterization" section
-// (text-level: the existing section's brace-matched span is replaced,
-// otherwise the section is inserted before the document's closing
-// brace), so this bench composes with bench_perf_solver
-// --perf_json_only in either run order.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+// Production NLDM farm: every default cell kind at the standard corner
+// set on the 5x5 slew x load grid, written out as sstvs_nldm.lib and
+// checked against the Liberty structure validator. Exits non-zero when
+// the library is invalid.
+#include <cstddef>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/characterize.hpp"
-#include "io/json_writer.hpp"
 #include "io/liberty_validate.hpp"
 #include "io/liberty_writer.hpp"
 
-namespace vls {
-namespace {
+int main() {
+  using namespace vls;
+  const std::vector<CharTable> tables = characterizeCells(CharRequest{});
 
-double secondsSince(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-/// The speed-matrix workload: every cell kind at the typical corner,
-/// production 5x5 grid, grid timing only (no static harness).
-CharRequest matrixRequest() {
-  CharRequest req;
-  req.corners = {CharCorner{}};
-  req.grid.static_metrics = false;
-  return req;
-}
-
-struct MatrixCell {
-  double sec = 0.0;
-  double points_per_sec = 0.0;
-  size_t scalar_fallbacks = 0;
-};
-
-MatrixCell runMatrixCell(const CharRequest& base, bool use_lanes, size_t width, int threads,
-                         std::vector<CharTable>* tables_out) {
-  CharRequest req = base;
-  req.grid.use_lanes = use_lanes;
-  req.grid.lane_width = width;
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%d", threads);
-  setenv("VLS_THREADS", buf, 1);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<CharTable> tables = characterizeCells(req);
-  MatrixCell cell;
-  cell.sec = secondsSince(t0);
   size_t points = 0;
+  size_t holes = 0;
   for (const CharTable& t : tables) {
     points += t.points.size();
-    cell.scalar_fallbacks += t.scalar_fallbacks;
+    holes += t.failures.size();
   }
-  cell.points_per_sec = cell.sec > 0.0 ? static_cast<double>(points) / cell.sec : 0.0;
-  if (tables_out != nullptr) *tables_out = std::move(tables);
-  return cell;
+  const std::string lib =
+      writeLiberty(LibertyLibrarySpec{}, libertyCellsFromCharacterization(tables));
+  std::ofstream("sstvs_nldm.lib") << lib;
+  const LibertyValidation v = validateLiberty(lib);
+
+  std::cout << "bench_characterization: " << tables.size() << " (cell, corner) tasks, " << points
+            << " grid points, " << holes << " holes\n"
+            << "sstvs_nldm.lib: " << v.summary() << "\n";
+  return v.ok() ? 0 : 1;
 }
-
-JsonValue toJson(const MatrixCell& c) {
-  JsonValue::Object o;
-  o["sec"] = c.sec;
-  o["points_per_sec"] = c.points_per_sec;
-  o["scalar_fallbacks"] = c.scalar_fallbacks;
-  return JsonValue(std::move(o));
-}
-
-/// Lane-vs-scalar table disagreement under the CharGrid::lane_rel_tol
-/// contract: per-entry relative on the timing metrics (1 fs floor),
-/// peak-switching-energy-normalized on the power metrics.
-/// Full-scale relative disagreement per metric family (the
-/// CharGrid::lane_rel_tol contract): |lane - scalar| normalized by the
-/// scalar table's peak magnitude of that family. Per-entry relative
-/// error would divide fs-level solver reproducibility noise by
-/// near-zero entries (sub-ps inverter delays, the near-cancelling
-/// quiet-slot energy integral).
-double maxRelErr(const std::vector<CharTable>& lanes, const std::vector<CharTable>& scalar) {
-  auto metric = [](const CharPoint& p, int m) {
-    switch (m) {
-      case 0: return p.delay_rise;
-      case 1: return p.delay_fall;
-      case 2: return p.trans_rise;
-      case 3: return p.trans_fall;
-      case 4: return p.energy_rise;
-      default: return p.energy_fall;
-    }
-  };
-  double worst = 0.0;
-  for (size_t t = 0; t < lanes.size() && t < scalar.size(); ++t) {
-    for (int m = 0; m < 6; ++m) {
-      // The power tables share one full scale (peak switching energy):
-      // the quieter slot's own peak is a small difference of large
-      // integrals, not a meaningful scale.
-      const int peak_lo = m < 4 ? m : 4;
-      const int peak_hi = m < 4 ? m : 5;
-      double peak = 0.0;
-      for (const CharPoint& q : scalar[t].points) {
-        for (int pm = peak_lo; pm <= peak_hi; ++pm) {
-          peak = std::max(peak, std::fabs(metric(q, pm)));
-        }
-      }
-      if (peak <= 0.0) continue;
-      for (size_t i = 0; i < lanes[t].points.size(); ++i) {
-        worst = std::max(
-            worst, std::fabs(metric(lanes[t].points[i], m) - metric(scalar[t].points[i], m)) / peak);
-      }
-    }
-  }
-  return worst;
-}
-
-/// Merge `section` under `key` into the JSON document at `path`: the
-/// existing "key": {...} span (brace-matched, quote-aware) is replaced
-/// in place, otherwise the pair is inserted before the final '}'. A
-/// missing file becomes a fresh single-section document.
-void mergeJsonSection(const std::string& path, const std::string& key,
-                      const std::string& section) {
-  std::string text;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      text = ss.str();
-    }
-  }
-  const std::string pair = "\"" + key + "\": " + section;
-  if (text.find('{') == std::string::npos) {
-    text = "{\n  " + pair + "\n}\n";
-  } else {
-    const std::string needle = "\"" + key + "\":";
-    const size_t at = text.find(needle);
-    if (at != std::string::npos) {
-      const size_t open = text.find('{', at + needle.size());
-      size_t end = std::string::npos;
-      if (open != std::string::npos) {
-        int depth = 0;
-        bool quoted = false;
-        for (size_t i = open; i < text.size(); ++i) {
-          const char c = text[i];
-          if (quoted) {
-            if (c == '\\') ++i;
-            if (c == '"') quoted = false;
-            continue;
-          }
-          if (c == '"') quoted = true;
-          if (c == '{') ++depth;
-          if (c == '}' && --depth == 0) {
-            end = i;
-            break;
-          }
-        }
-      }
-      if (end != std::string::npos) {
-        text.replace(at, end + 1 - at, pair);
-      }
-    } else {
-      const size_t close = text.rfind('}');
-      const size_t last_content = text.find_last_not_of(" \t\r\n", close - 1);
-      const bool empty_doc = last_content != std::string::npos && text[last_content] == '{';
-      text.insert(close, std::string(empty_doc ? "" : ",") + "\n  " + pair + "\n");
-    }
-  }
-  std::ofstream out(path);
-  out << text;
-}
-
-int runBench() {
-  JsonValue::Object o;
-  o["hardware_concurrency"] = static_cast<size_t>(std::thread::hardware_concurrency());
-
-  const CharRequest base = matrixRequest();
-  o["grid_slews"] = base.grid.slews.size();
-  o["grid_loads"] = base.grid.loads.size();
-  o["cells"] = base.kinds.size();
-
-  // Speed matrix. The scalar loop is the reference implementation; the
-  // lane-vs-scalar agreement is measured on the one-thread runs (their
-  // tables are what the acceptance bound speaks about).
-  std::vector<CharTable> scalar_tables;
-  std::vector<CharTable> lane_tables;
-  JsonValue::Object matrix;
-  const MatrixCell scalar_t1 = runMatrixCell(base, false, 1, 1, &scalar_tables);
-  matrix["scalar_t1"] = toJson(scalar_t1);
-  const MatrixCell lanes_w1_t1 = runMatrixCell(base, true, 1, 1, nullptr);
-  matrix["lanes_w1_t1"] = toJson(lanes_w1_t1);
-  const MatrixCell lanes_w8_t1 = runMatrixCell(base, true, 8, 1, &lane_tables);
-  matrix["lanes_w8_t1"] = toJson(lanes_w8_t1);
-  matrix["scalar_t4"] = toJson(runMatrixCell(base, false, 1, 4, nullptr));
-  matrix["lanes_w1_t4"] = toJson(runMatrixCell(base, true, 1, 4, nullptr));
-  const MatrixCell lanes_w8_t4 = runMatrixCell(base, true, 8, 4, nullptr);
-  matrix["lanes_w8_t4"] = toJson(lanes_w8_t4);
-  unsetenv("VLS_THREADS");
-  o["matrix"] = JsonValue(std::move(matrix));
-
-  const double speedup_w8_t1 =
-      scalar_t1.points_per_sec > 0.0 ? lanes_w8_t1.points_per_sec / scalar_t1.points_per_sec
-                                     : 0.0;
-  o["lane_speedup_w8_t1"] = speedup_w8_t1;
-  o["lane_speedup_w8_t4"] = scalar_t1.points_per_sec > 0.0
-                                ? lanes_w8_t4.points_per_sec / scalar_t1.points_per_sec
-                                : 0.0;
-  const double max_rel_err = maxRelErr(lane_tables, scalar_tables);
-  o["max_rel_err"] = max_rel_err;
-  o["rel_tol"] = base.grid.lane_rel_tol;
-
-  // Full production farm: every kind x the standard corner pair, static
-  // metrics on, lane-batched — the run that ships the .lib. Runs with
-  // checkpointing armed (the resumable-production configuration); the
-  // checkpoint file is removed once the run lands.
-  {
-    CharRequest farm;
-    farm.checkpoint_path = "bench_farm.vlsckpt";
-    std::remove(farm.checkpoint_path.c_str());  // never resume a stale file
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<CharTable> tables = characterizeCells(farm);
-    const double farm_sec = secondsSince(t0);
-    std::remove(farm.checkpoint_path.c_str());
-
-    size_t points = 0;
-    size_t fallbacks = 0;
-    size_t retried = 0;
-    size_t skipped = 0;
-    for (const CharTable& t : tables) {
-      points += t.points.size();
-      fallbacks += t.scalar_fallbacks;
-      retried += t.retried_points;
-      skipped += t.failures.size();
-    }
-    const std::vector<LibertyCellData> cells = libertyCellsFromCharacterization(tables);
-    const std::string lib = writeLiberty(LibertyLibrarySpec{}, cells);
-    {
-      std::ofstream out("sstvs_nldm.lib");
-      out << lib;
-    }
-    const LibertyValidation v = validateLiberty(lib);
-
-    JsonValue::Object farm_o;
-    farm_o["tasks"] = tables.size();
-    farm_o["points"] = points;
-    farm_o["sec"] = farm_sec;
-    farm_o["points_per_sec"] = farm_sec > 0.0 ? static_cast<double>(points) / farm_sec : 0.0;
-    farm_o["scalar_fallbacks"] = fallbacks;
-    // Degrade-don't-abort counters: points that needed an escalated
-    // retry, and points recorded as unrecovered holes (skipped).
-    farm_o["retried_points"] = retried;
-    farm_o["skipped_points"] = skipped;
-    farm_o["lib_file"] = "sstvs_nldm.lib";
-    farm_o["lib_valid"] = v.ok();
-    farm_o["lib_cells"] = v.cell_count;
-    farm_o["lib_tables"] = v.table_count;
-    farm_o["lib_summary"] = v.summary();
-    o["farm"] = JsonValue(std::move(farm_o));
-  }
-
-  const JsonValue section{std::move(o)};
-  // Indent the section body one level so the merged document stays
-  // readable (dump() emits a top-level layout).
-  std::string body = section.dump();
-  std::string indented;
-  for (size_t i = 0; i < body.size(); ++i) {
-    indented += body[i];
-    if (body[i] == '\n' && i + 1 < body.size()) indented += "  ";
-  }
-  mergeJsonSection("BENCH_perf.json", "characterization", indented);
-  std::cout << "characterization:\n" << body << "\n";
-  return 0;
-}
-
-}  // namespace
-}  // namespace vls
-
-int main() { return vls::runBench(); }

@@ -301,7 +301,8 @@ class ResultSink {
       }
       const ShifterMetrics& m = metrics_[s];
       if (!m.functional) {
-        result.failed_samples.push_back({static_cast<int>(s), FailureKind::NonFunctional});
+        result.failed_samples.push_back(
+            {static_cast<int>(s), FailureKind::NonFunctional, {}, {}, {}});
         ++result.functional_failures;
       }
       result.delay_rise.push_back(m.delay_rise);
@@ -636,45 +637,6 @@ MonteCarloResult runMonteCarlo(const HarnessConfig& harness, const MonteCarloCon
   result.retried_samples = retried.load();
   result.retry_recovered = retry_recovered.load();
   return result;
-}
-
-std::function<ShifterMetrics(const MonteCarloSample&)> makeSurrogateEvaluator(
-    const HarnessConfig& harness) {
-  // Metric scales loosely calibrated to the SS-TVS testbench at
-  // 0.8 V -> 1.2 V, 27 C (the BENCH_perf.json newton_workload run),
-  // with first-order supply scaling so surrogate sweeps still react to
-  // harness settings. Sensitivities: delays grow with VT and L, shrink
-  // with W; switching power moves the other way; leakage is
-  // exponentially VT- and temperature-sensitive (subthreshold).
-  const double supply = harness.vddo > 0.0 ? harness.vddo / 1.2 : 1.0;
-  const double t0 = harness.temperature_c;
-  return [supply, t0](const MonteCarloSample& sample) {
-    double a_vt = 0.0, a_w = 0.0, a_l = 0.0, worst_vt = 0.0;
-    for (const MosGeometry& g : sample.geometries) {
-      a_vt += g.delta_vt;
-      a_w += g.delta_w / g.w;
-      a_l += g.delta_l / g.l;
-      worst_vt = std::max(worst_vt, std::fabs(g.delta_vt));
-    }
-    const double nf = sample.geometries.empty() ? 1.0 : double(sample.geometries.size());
-    a_vt /= nf * 0.39;  // normalize to the nominal NMOS VT
-    a_w /= nf;
-    a_l /= nf;
-    const double dT = sample.temperature_c - t0;
-    ShifterMetrics m;
-    m.delay_rise = 155e-12 / supply * std::exp(1.8 * a_vt + 0.9 * a_l - 0.7 * a_w + 0.0022 * dT);
-    m.delay_fall = 118e-12 / supply * std::exp(1.5 * a_vt + 0.8 * a_l - 0.6 * a_w + 0.0019 * dT);
-    m.power_rise =
-        2.3e-6 * supply * supply * std::exp(-0.6 * a_vt + 0.8 * a_w - 0.3 * a_l + 0.0008 * dT);
-    m.power_fall =
-        1.9e-6 * supply * supply * std::exp(-0.5 * a_vt + 0.7 * a_w - 0.3 * a_l + 0.0008 * dT);
-    m.leakage_high = 1.4e-9 * supply * std::exp(-9.0 * a_vt + 0.9 * a_w + 0.035 * dT);
-    m.leakage_low = 0.9e-9 * supply * std::exp(-8.0 * a_vt + 0.8 * a_w + 0.035 * dT);
-    // Deterministic rare-tail failure region: a single deep-VT outlier
-    // device (~3.9 sigma at the paper's sigmas) breaks the cell.
-    m.functional = worst_vt < 0.050;
-    return m;
-  };
 }
 
 }  // namespace vls

@@ -84,10 +84,10 @@ struct MonteCarloConfig {
   bool streaming = false;
   /// Optional sample evaluator replacing the transient testbench:
   /// given the fully-derived sample, return its metrics (throwing
-  /// vls::Error marks the sample as SimulationError). Used by
-  /// benchmarks and tests to exercise the scheduler/statistics layers
-  /// at 10^6+ samples where full transients are infeasible — see
-  /// makeSurrogateEvaluator. Fault injection is ignored on this path.
+  /// vls::Error marks the sample as SimulationError). Lets tests
+  /// exercise the scheduler/statistics layers at 10^5+ samples, where
+  /// full transients are infeasible. Fault injection is ignored on this
+  /// path.
   std::function<ShifterMetrics(const MonteCarloSample&)> evaluator;
   /// Deterministic fault injection: when fault_sample >= 0, that
   /// sample's simulation runs with a fresh FaultInjector built from
@@ -208,16 +208,5 @@ struct MonteCarloResult {
 /// Run the harness `config.samples` times with fresh random device
 /// perturbations each time (DUT devices only, as in the paper).
 MonteCarloResult runMonteCarlo(const HarnessConfig& harness, const MonteCarloConfig& config);
-
-/// Closed-form response-surface stand-in for the transient testbench:
-/// metric scales and W/L/VT/temperature sensitivities representative of
-/// the SS-TVS cell, plus a deterministic rare non-functional region in
-/// the deep VT tail (~0.1% of samples at paper sigmas). Microseconds
-/// per sample instead of tens of milliseconds, so benchmarks and tests
-/// can exercise scheduling, streaming statistics and QMC convergence at
-/// 10^5..10^7 samples. Not a circuit model — characterization results
-/// must come from the real harness.
-std::function<ShifterMetrics(const MonteCarloSample&)> makeSurrogateEvaluator(
-    const HarnessConfig& harness);
 
 }  // namespace vls

@@ -253,8 +253,6 @@ int parallelThreadCount() {
   return fallback;
 }
 
-const char* parallelSchedulerName() { return "chunked-work-stealing-pooled"; }
-
 size_t parallelAutoChunk(size_t count, size_t workers) {
   if (workers == 0) workers = 1;
   return std::clamp<size_t>(count / (workers * 8), 1, 2048);

@@ -52,13 +52,8 @@ class JobControl;
 /// every call, so tests can flip VLS_THREADS between runs.
 int parallelThreadCount();
 
-/// Scheduler implementation name, recorded in BENCH_perf.json so perf
-/// regressions can be attributed to scheduler changes.
-const char* parallelSchedulerName();
-
 /// Chunk size chosen when ParallelOptions::chunk == 0: roughly eight
-/// chunks per worker, clamped to [1, 2048]. Exposed so benchmarks can
-/// record the effective granularity.
+/// chunks per worker, clamped to [1, 2048]. Exposed for its bounds test.
 size_t parallelAutoChunk(size_t count, size_t workers);
 
 /// True while the calling thread is executing inside a parallelFor

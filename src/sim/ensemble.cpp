@@ -55,6 +55,7 @@ EnsembleSimulator::EnsembleSimulator(Circuit& circuit, size_t lanes, SimOptions 
   pending_.assign(lanes_, 0);
   lane_ok_.assign(lanes_, 1);
   attempt_failure_.resize(lanes_);
+  attempt_node_.assign(lanes_, -1);
 }
 
 std::vector<double> EnsembleSimulator::coldStartSoA() const {
@@ -126,7 +127,10 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
   for (size_t l = 0; l < K; ++l) {
     pending_[l] = live ? live[l] : static_cast<uint8_t>(failed_[l] == 0);
     converged[l] = 0;
-    if (pending_[l]) attempt_failure_[l] = LaneFailure{};
+    if (pending_[l]) {
+      attempt_failure_[l] = LaneFailure{};
+      attempt_node_[l] = -1;
+    }
     any_selected = any_selected || pending_[l] != 0;
   }
   if (!any_selected) return true;
@@ -173,7 +177,7 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
         if (std::isfinite(sys_.rhs()[i * K + l])) continue;
         pending_[l] = 0;
         attempt_failure_[l].reason = NewtonFailureReason::NonFinite;
-        attempt_failure_[l].node = unknownName(i);
+        attempt_node_[l] = static_cast<int>(i);
         attempt_failure_[l].message = stamp_fault;
         break;
       }
@@ -193,7 +197,7 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
         pending_[l] = 0;
         attempt_failure_[l].reason = NewtonFailureReason::SingularPivot;
         const int col = lu_.laneSingularColumn(l);
-        if (col >= 0) attempt_failure_[l].node = unknownName(static_cast<size_t>(col));
+        if (col >= 0) attempt_node_[l] = col;
         if (attempt_failure_[l].message.empty()) attempt_failure_[l].message = e.what();
         if (!stamp_fault.empty()) attempt_failure_[l].message = stamp_fault;
       }
@@ -204,7 +208,7 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
         pending_[l] = 0;
         attempt_failure_[l].reason = NewtonFailureReason::SingularPivot;
         const int col = lu_.laneSingularColumn(l);
-        if (col >= 0) attempt_failure_[l].node = unknownName(static_cast<size_t>(col));
+        if (col >= 0) attempt_node_[l] = col;
         if (!stamp_fault.empty()) attempt_failure_[l].message = stamp_fault;
       }
     }
@@ -221,13 +225,11 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
       if (update.non_finite >= 0) {
         pending_[l] = 0;
         attempt_failure_[l].reason = NewtonFailureReason::NonFinite;
-        attempt_failure_[l].node = unknownName(static_cast<size_t>(update.non_finite));
+        attempt_node_[l] = update.non_finite;
         if (!stamp_fault.empty()) attempt_failure_[l].message = stamp_fault;
         continue;
       }
-      if (update.worst >= 0) {
-        attempt_failure_[l].node = unknownName(static_cast<size_t>(update.worst));
-      }
+      if (update.worst >= 0) attempt_node_[l] = update.worst;
       if (update.converged && iter > 0) {
         converged[l] = 1;
         pending_[l] = 0;
@@ -286,6 +288,7 @@ void EnsembleSimulator::dropLanes(const std::vector<uint8_t>& lanes, RecoverySta
     failed_[l] = 1;
     LaneFailure& failure = lane_failures_[l];
     failure = attempt_failure_[l];
+    if (attempt_node_[l] >= 0) failure.node = unknownName(static_cast<size_t>(attempt_node_[l]));
     failure.valid = true;
     failure.stage = stage;
     if (failure.reason == NewtonFailureReason::None) {

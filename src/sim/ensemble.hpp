@@ -122,8 +122,8 @@ class EnsembleSimulator {
   /// returns true when every selected lane converged. Each lane takes
   /// applyNewtonUpdate with the same `iter > 0` requirement, non-finite
   /// guards and fault-injection hooks as Simulator::newtonAttempt.
-  /// Per-lane failure details land in attempt_failure_ (reason/node/
-  /// message of the last attempt).
+  /// Per-lane failure details land in attempt_failure_ (reason and
+  /// message of the last attempt) and attempt_node_ (its node index).
   bool newtonLanes(double time, double dt, IntegrationMethod method, double source_scale,
                    double gmin, std::vector<double>& x, const uint8_t* live,
                    uint8_t* converged, size_t* iterations);
@@ -167,8 +167,11 @@ class EnsembleSimulator {
   std::vector<uint8_t> pending_;
   std::vector<uint8_t> lane_ok_;
   /// Last newtonLanes attempt: per-lane failure details (reason None
-  /// for lanes that converged or were not selected).
+  /// for lanes that converged or were not selected). The node is kept
+  /// as an unknown index in attempt_node_ (-1 = none) and named only
+  /// when dropLanes turns the attempt into a LaneFailure.
   std::vector<LaneFailure> attempt_failure_;
+  std::vector<int> attempt_node_;
 
   // Last transient run (shared time axis, SoA snapshots).
   std::vector<double> time_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -112,6 +113,37 @@ TEST(Characterize, LaneMatchesScalarAcrossWidths) {
   // Sanity on the physics: more load means more delay at fixed slew.
   EXPECT_GT(lanes8.at(0, 1).delay_rise, lanes8.at(0, 0).delay_rise);
 }
+
+// The production configuration for every default cell kind: typical
+// corner, the default 5x5 grid with grid timing only, width-8 lanes
+// against the scalar loop.
+class CharProductionGrid : public ::testing::TestWithParam<ShifterKind> {};
+
+TEST_P(CharProductionGrid, LaneMatchesScalarAtWidth8) {
+  CharGrid grid;
+  grid.static_metrics = false;
+  const CharCorner corner = typicalCorner();
+  const HarnessConfig base;
+
+  grid.use_lanes = false;
+  const CharTable scalar = characterizeCell(GetParam(), corner, grid, base);
+  ASSERT_TRUE(allOk(scalar));
+
+  grid.use_lanes = true;
+  grid.lane_width = 8;
+  const CharTable lanes8 = characterizeCell(GetParam(), corner, grid, base);
+  EXPECT_TRUE(allOk(lanes8));
+  EXPECT_LE(maxRelDiff(lanes8, scalar), grid.lane_rel_tol);
+}
+
+INSTANTIATE_TEST_SUITE_P(DefaultKinds, CharProductionGrid, ::testing::ValuesIn(CharRequest{}.kinds),
+                         [](const ::testing::TestParamInfo<ShifterKind>& param_info) {
+                           std::string name = shifterKindName(param_info.param);
+                           for (char& ch : name) {
+                             if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+                           }
+                           return name;
+                         });
 
 TEST(Characterize, FarmInvariantUnderThreadCount) {
   CharGrid grid = testGrid();

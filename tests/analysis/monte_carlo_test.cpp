@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,52 @@ MonteCarloConfig smallMc(int samples = 12) {
   mc.samples = samples;
   mc.seed = 7;
   return mc;
+}
+
+/// Closed-form response-surface stand-in for the transient testbench:
+/// metric scales and W/L/VT/temperature sensitivities representative of
+/// the SS-TVS cell, plus a deterministic rare non-functional region in
+/// the deep VT tail (~0.1% of samples at paper sigmas). Microseconds
+/// per sample instead of tens of milliseconds, so the tests below can
+/// exercise scheduling, streaming statistics and QMC convergence at
+/// 10^5 samples. Not a circuit model.
+std::function<ShifterMetrics(const MonteCarloSample&)> makeSurrogateEvaluator(
+    const HarnessConfig& harness) {
+  // Metric scales loosely calibrated to the nominal SS-TVS testbench
+  // at 0.8 V -> 1.2 V, 27 C, with first-order supply scaling so
+  // surrogate sweeps still react to harness settings. Sensitivities:
+  // delays grow with VT and L, shrink with W; switching power moves the
+  // other way; leakage is exponentially VT- and temperature-sensitive
+  // (subthreshold).
+  const double supply = harness.vddo > 0.0 ? harness.vddo / 1.2 : 1.0;
+  const double t0 = harness.temperature_c;
+  return [supply, t0](const MonteCarloSample& sample) {
+    double a_vt = 0.0, a_w = 0.0, a_l = 0.0, worst_vt = 0.0;
+    for (const MosGeometry& g : sample.geometries) {
+      a_vt += g.delta_vt;
+      a_w += g.delta_w / g.w;
+      a_l += g.delta_l / g.l;
+      worst_vt = std::max(worst_vt, std::fabs(g.delta_vt));
+    }
+    const double nf = sample.geometries.empty() ? 1.0 : double(sample.geometries.size());
+    a_vt /= nf * 0.39;  // normalize to the nominal NMOS VT
+    a_w /= nf;
+    a_l /= nf;
+    const double dT = sample.temperature_c - t0;
+    ShifterMetrics m;
+    m.delay_rise = 155e-12 / supply * std::exp(1.8 * a_vt + 0.9 * a_l - 0.7 * a_w + 0.0022 * dT);
+    m.delay_fall = 118e-12 / supply * std::exp(1.5 * a_vt + 0.8 * a_l - 0.6 * a_w + 0.0019 * dT);
+    m.power_rise =
+        2.3e-6 * supply * supply * std::exp(-0.6 * a_vt + 0.8 * a_w - 0.3 * a_l + 0.0008 * dT);
+    m.power_fall =
+        1.9e-6 * supply * supply * std::exp(-0.5 * a_vt + 0.7 * a_w - 0.3 * a_l + 0.0008 * dT);
+    m.leakage_high = 1.4e-9 * supply * std::exp(-9.0 * a_vt + 0.9 * a_w + 0.035 * dT);
+    m.leakage_low = 0.9e-9 * supply * std::exp(-8.0 * a_vt + 0.8 * a_w + 0.035 * dT);
+    // Deterministic rare-tail failure region: a single deep-VT outlier
+    // device (~3.9 sigma at the paper's sigmas) breaks the cell.
+    m.functional = worst_vt < 0.050;
+    return m;
+  };
 }
 
 TEST(MonteCarlo, ProducesRequestedSamples) {

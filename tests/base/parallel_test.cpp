@@ -154,11 +154,6 @@ TEST(ParallelAutoChunk, StaysWithinBounds) {
   EXPECT_GE(parallelAutoChunk(100, 0), 1u);                 // workers=0 tolerated
 }
 
-TEST(ParallelScheduler, ReportsKindAndThreads) {
-  EXPECT_STREQ(parallelSchedulerName(), "chunked-work-stealing-pooled");
-  EXPECT_GE(parallelThreadCount(), 1);
-}
-
 // VLS_THREADS is user input: only a clean positive decimal integer is
 // honored; everything else falls back to the hardware width instead of
 // silently launching 0 or 8 workers off a typo like "8x".

@@ -83,6 +83,30 @@ TEST(Fabric, IslandAndBoundaryBookkeeping) {
   EXPECT_EQ(part->device_block, fab.device_island);
 }
 
+// The flat-vs-BBD Auto heuristic routes by island count alone: below
+// kBbdAutoMinBlocks (24) blocks the flat solver runs, at it the
+// partitioned one. Decided in the constructor, so nothing is solved.
+TEST(Fabric, AutoPartitionRoutesByBlockCount) {
+  Circuit small_c;
+  const FabricHandles small_fab = buildFabric(small_c, smallSpec());
+  SimOptions opt;
+  opt.partition = makePartitionSpec(small_fab);
+  ASSERT_EQ(opt.partition_use, PartitionUse::Auto);
+  const Simulator small(small_c, opt);
+  EXPECT_EQ(small.partitionDecision(), "flat (auto: 3 < 24 blocks)");
+  EXPECT_EQ(small.bbdSolver(), nullptr);
+
+  FabricSpec spec = smallSpec();
+  spec.islands = 24;
+  Circuit large_c;
+  const FabricHandles large_fab = buildFabric(large_c, spec);
+  opt.partition = makePartitionSpec(large_fab);
+  const Simulator large(large_c, opt);
+  EXPECT_TRUE(large.partitionDecision().starts_with("bbd (auto: 24 >= 24"))
+      << large.partitionDecision();
+  EXPECT_NE(large.bbdSolver(), nullptr);
+}
+
 TEST(Fabric, DcOpFlatMatchesBbd) {
   Circuit flat_c;
   const FabricHandles flat_fab = buildFabric(flat_c, smallSpec());

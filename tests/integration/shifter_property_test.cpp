@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "analysis/shifter_harness.hpp"
 #include "io/netlist_writer.hpp"
@@ -13,11 +14,18 @@
 namespace vls {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// those bytes become part of every listed test name. `pad` fills the 4
+// bytes after the enum, which would otherwise be uninitialised padding
+// and make the names differ from run to run.
 struct CellDir {
   ShifterKind kind;
+  std::int32_t pad = 0;
   double vddi;
   double vddo;
 };
+static_assert(sizeof(CellDir) == sizeof(ShifterKind) + sizeof(std::int32_t) + 2 * sizeof(double),
+              "CellDir must have no padding bytes");
 
 std::string caseName(const ::testing::TestParamInfo<CellDir>& info) {
   std::string name = shifterKindName(info.param.kind);
@@ -95,14 +103,14 @@ TEST_P(ShifterProperty, TestbenchExportsToValidNetlist) {
 
 INSTANTIATE_TEST_SUITE_P(
     CellsAndDirections, ShifterProperty,
-    ::testing::Values(CellDir{ShifterKind::Sstvs, 0.8, 1.2},
-                      CellDir{ShifterKind::Sstvs, 1.2, 0.8},
-                      CellDir{ShifterKind::CombinedVs, 0.8, 1.2},
-                      CellDir{ShifterKind::CombinedVs, 1.2, 0.8},
-                      CellDir{ShifterKind::SsvsKhan, 0.8, 1.2},
-                      CellDir{ShifterKind::SsvsPuri, 0.8, 1.2},
-                      CellDir{ShifterKind::Bootstrap, 0.8, 1.2},
-                      CellDir{ShifterKind::InverterOnly, 1.2, 0.8}),
+    ::testing::Values(CellDir{.kind = ShifterKind::Sstvs, .vddi = 0.8, .vddo = 1.2},
+                      CellDir{.kind = ShifterKind::Sstvs, .vddi = 1.2, .vddo = 0.8},
+                      CellDir{.kind = ShifterKind::CombinedVs, .vddi = 0.8, .vddo = 1.2},
+                      CellDir{.kind = ShifterKind::CombinedVs, .vddi = 1.2, .vddo = 0.8},
+                      CellDir{.kind = ShifterKind::SsvsKhan, .vddi = 0.8, .vddo = 1.2},
+                      CellDir{.kind = ShifterKind::SsvsPuri, .vddi = 0.8, .vddo = 1.2},
+                      CellDir{.kind = ShifterKind::Bootstrap, .vddi = 0.8, .vddo = 1.2},
+                      CellDir{.kind = ShifterKind::InverterOnly, .vddi = 1.2, .vddo = 0.8}),
     caseName);
 
 }  // namespace
