@@ -4,6 +4,7 @@
 // expected trends: leakage exponential in T, delays mildly increasing).
 #include <iostream>
 
+#include "analysis/unit_runner.hpp"
 #include "bench_util.hpp"
 #include "io/csv.hpp"
 
@@ -18,18 +19,32 @@ int main(int argc, char** argv) {
            "Comb rise (ps)", "Comb leak lo (nA)", "both functional"});
   std::vector<CsvColumn> cols = {{"temp_c", {}},    {"tvs_rise_s", {}}, {"tvs_leak_hi_a", {}},
                                  {"tvs_leak_lo_a", {}}, {"comb_rise_s", {}}, {"comb_leak_lo_a", {}}};
+  // Temperatures by the accumulated sum the serial loop used, so the
+  // printed and written values stay the same; one runner unit per
+  // (temperature, cell), SS-TVS first.
+  std::vector<double> temps;
+  for (double temp = 0.0; temp <= 100.0 + 1e-9; temp += step) temps.push_back(temp);
+  UnitRunOptions run;
+  const std::vector<ShifterMetrics> metrics = unitValuesOrRethrow(runUnits<ShifterMetrics>(
+      2 * temps.size(),
+      [&](size_t u, const RecoveryPolicy& policy) {
+        HarnessConfig cfg;
+        cfg.vddi = 0.8;
+        cfg.vddo = 1.2;
+        cfg.temperature_c = temps[u / 2];
+        cfg.kind = u % 2 == 0 ? ShifterKind::Sstvs : ShifterKind::CombinedVs;
+        cfg.sim.recovery = policy;
+        return measureShifter(cfg);
+      },
+      run));
+
   bool all_ok = true;
   double leak_0c = 0.0;
   double leak_100c = 0.0;
-  for (double temp = 0.0; temp <= 100.0 + 1e-9; temp += step) {
-    HarnessConfig cfg;
-    cfg.vddi = 0.8;
-    cfg.vddo = 1.2;
-    cfg.temperature_c = temp;
-    cfg.kind = ShifterKind::Sstvs;
-    const ShifterMetrics tvs = measureShifter(cfg);
-    cfg.kind = ShifterKind::CombinedVs;
-    const ShifterMetrics comb = measureShifter(cfg);
+  for (size_t k = 0; k < temps.size(); ++k) {
+    const double temp = temps[k];
+    const ShifterMetrics& tvs = metrics[2 * k];
+    const ShifterMetrics& comb = metrics[2 * k + 1];
     all_ok = all_ok && tvs.functional && comb.functional;
     if (temp == 0.0) leak_0c = tvs.leakage_high;
     leak_100c = tvs.leakage_high;

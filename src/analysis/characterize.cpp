@@ -7,13 +7,12 @@
 
 #include "analysis/area.hpp"
 #include "analysis/measure.hpp"
+#include "analysis/unit_runner.hpp"
 #include "base/error.hpp"
 #include "base/logging.hpp"
 #include "base/parallel.hpp"
-#include "devices/mosfet.hpp"
 #include "io/checkpoint.hpp"
 #include "numeric/lanes.hpp"
-#include "sim/recovery.hpp"
 #include "sim/simulator.hpp"
 
 namespace vls {
@@ -22,17 +21,6 @@ namespace {
 
 /// A linear 0-100% PWL ramp whose 10-90% portion equals `slew`.
 double rampFor(double slew) { return slew / 0.8; }
-
-void applyProcessSkew(ShifterTestbench& tb, const CornerSpec& corner) {
-  for (Mosfet* fet : tb.dutFets()) {
-    MosGeometry g = fet->geometry();
-    const bool is_nmos = fet->model().type == MosType::Nmos;
-    g.delta_vt = is_nmos ? corner.nmos_dvt : corner.pmos_dvt;
-    g.delta_w = g.w * corner.dw_frac;
-    g.delta_l = g.l * corner.dl_frac;
-    fet->setGeometry(g);
-  }
-}
 
 /// Metric extraction of one grid point from one transient run. The
 /// stimulus is bits {1, 0, 1}: the input falls at t = period and rises
@@ -115,30 +103,25 @@ std::vector<size_t> gridOrder(const CharGrid& grid) {
   return order;
 }
 
-/// One scalar reference point: fresh Simulator over the (re-stimulated)
-/// shared testbench, warm-started from `nodeset` when given. Returns
-/// the converged t=0 operating point through `op_out` for chaining. A
-/// non-null `recovery_override` replaces the recovery ladder policy
-/// (escalated retry attempts). Any configured fault injector is
+/// One scalar reference point under recovery `policy`: fresh Simulator
+/// over the (re-stimulated) shared testbench, warm-started from
+/// `nodeset` when given. Returns the converged t=0 operating point
+/// through `op_out` for chaining. Any configured fault injector is
 /// re-instantiated fresh per call, so its firing budget re-fires on
 /// every attempt — retries cannot silently out-wait an injected fault.
 CharPoint runScalarPoint(ShifterTestbench& tb, const CharGrid& grid, double slew, double load,
                          const std::shared_ptr<const std::vector<double>>& nodeset,
                          std::shared_ptr<const std::vector<double>>* op_out,
-                         const RecoveryPolicy* recovery_override = nullptr) {
+                         const RecoveryPolicy& policy) {
   const HarnessConfig& cfg = tb.config();
   const double ramp = rampFor(slew);
   tb.vinSource()->setWaveform(tb.stimulusWaveform(ramp));
   tb.loadCapacitor()->setCapacitance(load);
 
-  SimOptions opts = cfg.sim;
+  SimOptions opts = attemptOptions(cfg.sim, policy);
   opts.temperature_c = cfg.temperature_c;
   opts.tran_reltol = grid.tran_reltol;
   if (grid.warm_start) opts.nodeset = nodeset;
-  if (recovery_override != nullptr) opts.recovery = *recovery_override;
-  if (opts.fault_injector) {
-    opts.fault_injector = std::make_shared<FaultInjector>(opts.fault_injector->spec());
-  }
   Simulator sim(tb.circuit(), opts);
   const TransientResult run = sim.transient(tb.tStop(), grid.dt_max, ramp / 4.0);
   if (op_out != nullptr && grid.warm_start) {
@@ -183,64 +166,28 @@ CharPoint readCharPoint(CheckpointReader& r) {
   return p;
 }
 
-void writeShifterMetrics(CheckpointWriter& w, const ShifterMetrics& m) {
-  w.f64(m.delay_rise);
-  w.f64(m.delay_fall);
-  w.f64(m.power_rise);
-  w.f64(m.power_fall);
-  w.f64(m.leakage_high);
-  w.f64(m.leakage_low);
-  w.f64(m.leakage_high_vddi);
-  w.f64(m.leakage_low_vddi);
-  w.u8(m.functional ? 1 : 0);
-}
-
-ShifterMetrics readShifterMetrics(CheckpointReader& r) {
-  ShifterMetrics m;
-  m.delay_rise = r.f64();
-  m.delay_fall = r.f64();
-  m.power_rise = r.f64();
-  m.power_fall = r.f64();
-  m.leakage_high = r.f64();
-  m.leakage_low = r.f64();
-  m.leakage_high_vddi = r.f64();
-  m.leakage_low_vddi = r.f64();
-  m.functional = r.u8() != 0;
-  return m;
-}
-
-struct TaskProgress {
-  bool done = false;
-  size_t cursor = 0;  ///< completed grid-order entries (main loop)
-  std::vector<CharPoint> points;
-  std::vector<size_t> retry;  ///< points pending the scalar retry phase
-  bool has_op = false;
-  std::vector<double> op;  ///< warm-start chain state at the cursor
-  // Stored once done:
-  size_t scalar_fallbacks = 0;
-  size_t retried_points = 0;
-  std::vector<CharPointFailure> failures;
-  ShifterMetrics static_metrics{};
-  double area_m2 = 0.0;
-  bool inverting = true;
-};
-
-std::vector<uint8_t> serializeProgress(const TaskProgress& prog) {
+/// Serialized task progress: the point store, then — for an unfinished
+/// task (`retry` non-null) — the batch cursor, the pending retry list
+/// and the warm-start chain state `op` (may be null), or the rest of
+/// the finished table.
+std::vector<uint8_t> serializeProgress(const CharTable& table, size_t cursor = 0,
+                                       const std::vector<size_t>* retry = nullptr,
+                                       const std::vector<double>* op = nullptr) {
   CheckpointWriter w;
-  w.u8(prog.done ? 1 : 0);
-  w.u64(prog.points.size());
-  for (const CharPoint& p : prog.points) writeCharPoint(w, p);
-  if (!prog.done) {
-    w.u64(prog.cursor);
-    w.u64(prog.retry.size());
-    for (size_t idx : prog.retry) w.u64(idx);
-    w.u8(prog.has_op ? 1 : 0);
-    w.f64vec(prog.op);
+  w.u8(retry == nullptr ? 1 : 0);
+  w.u64(table.points.size());
+  for (const CharPoint& p : table.points) writeCharPoint(w, p);
+  if (retry != nullptr) {
+    w.u64(cursor);
+    w.u64(retry->size());
+    for (size_t idx : *retry) w.u64(idx);
+    w.u8(op != nullptr ? 1 : 0);
+    w.f64vec(op != nullptr ? *op : std::vector<double>{});
   } else {
-    w.u64(prog.scalar_fallbacks);
-    w.u64(prog.retried_points);
-    w.u64(prog.failures.size());
-    for (const CharPointFailure& f : prog.failures) {
+    w.u64(table.scalar_fallbacks);
+    w.u64(table.retried_points);
+    w.u64(table.failures.size());
+    for (const CharPointFailure& f : table.failures) {
       w.u64(f.point);
       w.f64(f.slew);
       w.f64(f.load);
@@ -249,58 +196,58 @@ std::vector<uint8_t> serializeProgress(const TaskProgress& prog) {
       w.str(f.node);
       w.str(f.message);
     }
-    writeShifterMetrics(w, prog.static_metrics);
-    w.f64(prog.area_m2);
-    w.u8(prog.inverting ? 1 : 0);
+    writeShifterMetrics(w, table.static_metrics);
+    w.f64(table.area_m2);
+    w.u8(table.inverting ? 1 : 0);
   }
   return w.bytes();
 }
 
-TaskProgress deserializeProgress(const std::vector<uint8_t>& bytes, size_t expected_points) {
+/// Restores serialized progress into `table` (whose points are
+/// pre-sized to the grid). Returns true for a finished task; otherwise
+/// restores the cursor, retry list and chain state as well.
+bool deserializeProgress(const std::vector<uint8_t>& bytes, CharTable& table, size_t& cursor,
+                         std::vector<size_t>& retry,
+                         std::shared_ptr<const std::vector<double>>& op) {
   CheckpointReader r{bytes};
-  TaskProgress prog;
-  prog.done = r.u8() != 0;
-  const uint64_t n = r.u64();
-  if (n != expected_points) {
+  const bool done = r.u8() != 0;
+  const size_t n = table.points.size();
+  if (r.u64() != n) {
     throw InvalidInputError("characterize: checkpointed task has a different grid size");
   }
-  prog.points.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) prog.points.push_back(readCharPoint(r));
-  if (!prog.done) {
-    prog.cursor = r.u64();
+  for (CharPoint& p : table.points) p = readCharPoint(r);
+  if (!done) {
+    cursor = r.u64();
     const uint64_t n_retry = r.u64();
     for (uint64_t i = 0; i < n_retry; ++i) {
-      const uint64_t idx = r.u64();
-      if (idx >= expected_points) {
+      retry.push_back(r.u64());
+      if (retry.back() >= n) {
         throw InvalidInputError("characterize: checkpointed retry index out of range");
       }
-      prog.retry.push_back(idx);
     }
-    prog.has_op = r.u8() != 0;
-    prog.op = r.f64vec();
-    if (prog.cursor > expected_points) {
-      throw InvalidInputError("characterize: checkpointed cursor out of range");
-    }
-  } else {
-    prog.scalar_fallbacks = r.u64();
-    prog.retried_points = r.u64();
-    const uint64_t n_fail = r.u64();
-    for (uint64_t i = 0; i < n_fail; ++i) {
-      CharPointFailure f;
-      f.point = r.u64();
-      f.slew = r.f64();
-      f.load = r.f64();
-      f.attempts = static_cast<int>(r.u64());
-      f.stage = r.str();
-      f.node = r.str();
-      f.message = r.str();
-      prog.failures.push_back(std::move(f));
-    }
-    prog.static_metrics = readShifterMetrics(r);
-    prog.area_m2 = r.f64();
-    prog.inverting = r.u8() != 0;
+    const bool has_op = r.u8() != 0;
+    std::vector<double> x = r.f64vec();
+    if (has_op) op = std::make_shared<const std::vector<double>>(std::move(x));
+    if (cursor > n) throw InvalidInputError("characterize: checkpointed cursor out of range");
+    return false;
   }
-  return prog;
+  table.scalar_fallbacks = r.u64();
+  table.retried_points = r.u64();
+  const uint64_t n_fail = r.u64();
+  for (uint64_t i = 0; i < n_fail; ++i) {
+    CharPointFailure& f = table.failures.emplace_back();
+    f.point = r.u64();
+    f.slew = r.f64();
+    f.load = r.f64();
+    f.attempts = static_cast<int>(r.u64());
+    f.stage = r.str();
+    f.node = r.str();
+    f.message = r.str();
+  }
+  table.static_metrics = readShifterMetrics(r);
+  table.area_m2 = r.f64();
+  table.inverting = r.u8() != 0;
+  return true;
 }
 
 }  // namespace
@@ -369,22 +316,9 @@ CharTable characterizeCell(ShifterKind kind, const CharCorner& corner, const Cha
   std::shared_ptr<const std::vector<double>> op;
   std::vector<size_t> retry;  // points pending the scalar retry phase
   size_t cursor = 0;
-  if (control.resume != nullptr) {
-    TaskProgress prog = deserializeProgress(*control.resume, n_points);
-    if (prog.done) {
-      table.points = std::move(prog.points);
-      table.scalar_fallbacks = prog.scalar_fallbacks;
-      table.retried_points = prog.retried_points;
-      table.failures = std::move(prog.failures);
-      table.static_metrics = prog.static_metrics;
-      table.area_m2 = prog.area_m2;
-      table.inverting = prog.inverting;
-      return table;
-    }
-    table.points = std::move(prog.points);
-    retry = std::move(prog.retry);
-    cursor = prog.cursor;
-    if (prog.has_op) op = std::make_shared<const std::vector<double>>(std::move(prog.op));
+  if (control.resume != nullptr &&
+      deserializeProgress(*control.resume, table, cursor, retry, op)) {
+    return table;
   }
 
   ShifterTestbench tb(cfg);
@@ -392,16 +326,7 @@ CharTable characterizeCell(ShifterKind kind, const CharCorner& corner, const Cha
   table.area_m2 = estimateCellArea(tb.dutFets());
 
   auto save_partial = [&](size_t new_cursor) {
-    if (!control.save) return;
-    TaskProgress prog;
-    prog.cursor = new_cursor;
-    prog.points = table.points;
-    prog.retry = retry;
-    if (op) {
-      prog.has_op = true;
-      prog.op = *op;
-    }
-    control.save(serializeProgress(prog));
+    if (control.save) control.save(serializeProgress(table, new_cursor, &retry, op.get()));
   };
   auto unit_done = [&] {
     if (control.job) control.job->unitDone();
@@ -412,7 +337,8 @@ CharTable characterizeCell(ShifterKind kind, const CharCorner& corner, const Cha
       const size_t idx = order[oi];
       try {
         table.points[idx] = runScalarPoint(tb, grid, grid.slews[idx / n_loads],
-                                           grid.loads[idx % n_loads], op, &op);
+                                           grid.loads[idx % n_loads], op, &op,
+                                           cfg.sim.recovery);
       } catch (const Error& e) {
         // Degrade, don't abort: queue for the escalated retry phase.
         VLS_LOG_WARN("characterize %s/%s: point %zu threw (%s); queued for escalated retry",
@@ -491,51 +417,35 @@ CharTable characterizeCell(ShifterKind kind, const CharCorner& corner, const Cha
   }
 
   // Escalated retry phase (degrade-don't-abort): every queued point —
-  // lane dropout, failed batch member, or thrown scalar run — gets up
-  // to 1 + max_retries scalar attempts, the later ones under a
-  // tightened recovery ladder. A point that exhausts its attempts is
-  // recorded as a structured CharPointFailure and left as a table hole
-  // (ok == false) — the farm keeps going and the .lib writer annotates
-  // the gap. This phase is not checkpointed mid-flight: it re-runs
+  // lane dropout, failed batch member, or thrown scalar run — goes
+  // through the unit ladder, 1 + max_retries scalar attempts, the later
+  // ones under a tightened recovery ladder. A point that exhausts its
+  // attempts is recorded as a structured CharPointFailure and left as a
+  // table hole (ok == false) — the farm keeps going and the .lib writer
+  // annotates the gap. This phase runs serially on the task's shared
+  // testbench and is not checkpointed mid-flight: it re-runs
   // deterministically from the stored chain state on resume.
-  const int max_attempts = 1 + std::max(0, control.max_retries);
-  const RecoveryPolicy escalated = escalatedRecoveryPolicy(cfg.sim.recovery);
+  const UnitRunOptions run{.max_retries = control.max_retries, .recovery = cfg.sim.recovery};
   for (size_t idx : retry) {
     const double slew = grid.slews[idx / n_loads];
     const double load = grid.loads[idx % n_loads];
     VLS_LOG_WARN("characterize %s/%s: point %zu re-run scalar", shifterKindName(kind),
                  corner.name.c_str(), idx);
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      try {
-        table.points[idx] = runScalarPoint(tb, grid, slew, load, op, nullptr,
-                                           attempt > 0 ? &escalated : nullptr);
-        break;
-      } catch (const Error& e) {
-        if (attempt == 0 && max_attempts > 1) ++table.retried_points;
-        if (attempt + 1 < max_attempts) {
-          VLS_LOG_WARN("characterize %s/%s: point %zu threw (%s); retrying escalated",
-                       shifterKindName(kind), corner.name.c_str(), idx, e.what());
-          continue;
-        }
-        CharPointFailure f;
-        f.point = idx;
-        f.slew = slew;
-        f.load = load;
-        f.attempts = max_attempts;
-        if (const auto* re = dynamic_cast<const RecoveryError*>(&e)) {
-          f.stage = re->diagnostics().lastStageName();
-          f.node = re->diagnostics().worstNode();
-        }
-        f.message = e.what();
-        VLS_LOG_WARN("characterize %s/%s: point %zu failed all %d attempt(s) (%s); "
-                     "leaving table hole",
-                     shifterKindName(kind), corner.name.c_str(), idx, max_attempts, e.what());
-        CharPoint hole;
-        hole.slew = slew;
-        hole.load = load;
-        table.points[idx] = hole;
-        table.failures.push_back(std::move(f));
-      }
+    UnitResult<CharPoint> r = runUnitAttempts<CharPoint>(
+        idx,
+        [&](const RecoveryPolicy& policy) {
+          return runScalarPoint(tb, grid, slew, load, op, nullptr, policy);
+        },
+        run);
+    if (r.attempts > 1) ++table.retried_points;
+    table.points[idx] = r.ok() ? r.value : CharPoint{.slew = slew, .load = load};
+    if (!r.ok()) {
+      VLS_LOG_WARN("characterize %s/%s: point %zu failed all %d attempt(s) (%s); "
+                   "leaving table hole",
+                   shifterKindName(kind), corner.name.c_str(), idx, r.attempts,
+                   r.failure->message.c_str());
+      table.failures.push_back(
+          {idx, slew, load, r.attempts, r.failure->stage, r.failure->node, r.failure->message});
     }
     unit_done();
   }
@@ -560,18 +470,7 @@ CharTable characterizeCell(ShifterKind kind, const CharCorner& corner, const Cha
     }
   }
 
-  if (control.save) {
-    TaskProgress prog;
-    prog.done = true;
-    prog.points = table.points;
-    prog.scalar_fallbacks = table.scalar_fallbacks;
-    prog.retried_points = table.retried_points;
-    prog.failures = table.failures;
-    prog.static_metrics = table.static_metrics;
-    prog.area_m2 = table.area_m2;
-    prog.inverting = table.inverting;
-    control.save(serializeProgress(prog));
-  }
+  if (control.save) control.save(serializeProgress(table));
   return table;
 }
 

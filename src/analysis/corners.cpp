@@ -1,7 +1,8 @@
 #include "analysis/corners.hpp"
 
+#include "analysis/unit_runner.hpp"
 #include "base/logging.hpp"
-#include "base/parallel.hpp"
+#include "devices/mosfet.hpp"
 
 namespace vls {
 
@@ -17,36 +18,46 @@ std::vector<CornerSpec> standardCorners(double k) {
   return out;
 }
 
+void applyProcessSkew(ShifterTestbench& tb, const CornerSpec& corner) {
+  for (Mosfet* fet : tb.dutFets()) {
+    MosGeometry g = fet->geometry();
+    const bool is_nmos = fet->model().type == MosType::Nmos;
+    g.delta_vt = is_nmos ? corner.nmos_dvt : corner.pmos_dvt;
+    g.delta_w = g.w * corner.dw_frac;
+    g.delta_l = g.l * corner.dl_frac;
+    fet->setGeometry(g);
+  }
+}
+
 std::vector<CornerResult> runCorners(const HarnessConfig& base,
                                      const std::vector<CornerSpec>& corners) {
-  // Corners are independent simulations: run them across the worker
-  // pool, each writing its pre-sized slot.
+  // Corners are independent simulations: one runner unit each. A corner
+  // that still throws after its escalated retry is reported
+  // non-functional.
+  const auto outcomes = runUnits<ShifterMetrics>(
+      corners.size(),
+      [&](size_t i, const RecoveryPolicy& policy) {
+        const CornerSpec& corner = corners[i];
+        HarnessConfig cfg = base;
+        cfg.temperature_c = corner.temperature_c;
+        cfg.vddi = base.vddi * corner.supply_scale;
+        cfg.vddo = base.vddo * corner.supply_scale;
+        cfg.sim = attemptOptions(base.sim, policy);
+        ShifterTestbench tb(cfg);
+        applyProcessSkew(tb, corner);
+        return tb.measure();
+      },
+      {.recovery = base.sim.recovery});
   std::vector<CornerResult> results(corners.size());
-  parallelFor(corners.size(), [&](size_t i) {
-    const CornerSpec& corner = corners[i];
-    HarnessConfig cfg = base;
-    cfg.temperature_c = corner.temperature_c;
-    cfg.vddi = base.vddi * corner.supply_scale;
-    cfg.vddo = base.vddo * corner.supply_scale;
-    ShifterTestbench tb(cfg);
-    for (Mosfet* fet : tb.dutFets()) {
-      MosGeometry g = fet->geometry();
-      const bool is_nmos = fet->model().type == MosType::Nmos;
-      g.delta_vt = is_nmos ? corner.nmos_dvt : corner.pmos_dvt;
-      g.delta_w = g.w * corner.dw_frac;
-      g.delta_l = g.l * corner.dl_frac;
-      fet->setGeometry(g);
+  for (size_t i = 0; i < corners.size(); ++i) {
+    results[i].corner = corners[i];
+    results[i].metrics = outcomes[i].value;
+    if (!outcomes[i].ok()) {
+      VLS_LOG_WARN("corner %s failed: %s", corners[i].name.c_str(),
+                   outcomes[i].failure->message.c_str());
+      results[i].metrics.functional = false;
     }
-    CornerResult r;
-    r.corner = corner;
-    try {
-      r.metrics = tb.measure();
-    } catch (const Error& e) {
-      VLS_LOG_WARN("corner %s failed: %s", corner.name.c_str(), e.what());
-      r.metrics.functional = false;
-    }
-    results[i] = std::move(r);
-  });
+  }
   return results;
 }
 

@@ -26,13 +26,19 @@ struct CornerSpec {
 /// of the paper's distribution = 10% of nominal VT).
 std::vector<CornerSpec> standardCorners(double vt_skew_frac = 0.10);
 
+/// Apply a corner's device skews (VT shifts, W/L skew) to the DUT
+/// transistors of `tb`; supplies and temperature are the caller's.
+void applyProcessSkew(ShifterTestbench& tb, const CornerSpec& corner);
+
 struct CornerResult {
   CornerSpec corner;
   ShifterMetrics metrics;
 };
 
 /// Characterize one configuration across corners. Device skews apply to
-/// the DUT transistors only (as in the paper's Monte-Carlo).
+/// the DUT transistors only (as in the paper's Monte-Carlo). A corner
+/// whose simulation throws on its first attempt and its escalated
+/// retry is reported with metrics.functional = false.
 std::vector<CornerResult> runCorners(const HarnessConfig& base,
                                      const std::vector<CornerSpec>& corners);
 

@@ -3,41 +3,36 @@
 #include <algorithm>
 #include <cmath>
 
-#include "base/parallel.hpp"
+#include "analysis/unit_runner.hpp"
 
 namespace vls {
-namespace {
-
-ShifterMetrics measureWithVtShift(const HarnessConfig& config, size_t device_index,
-                                  double delta_vt) {
-  ShifterTestbench tb(config);
-  tb.dutFets()[device_index]->geometry().delta_vt = delta_vt;
-  return tb.measure();
-}
-
-}  // namespace
 
 SensitivityReport analyzeVtSensitivity(const HarnessConfig& config, double vt_step) {
   SensitivityReport report;
   ShifterTestbench probe(config);
   const size_t n = probe.dutFets().size();
 
-  // The 2n probe simulations (+/- step per device) are independent:
-  // dispatch them across the worker pool into pre-sized slots, then
-  // combine the central differences serially.
-  std::vector<ShifterMetrics> hi_all(n), lo_all(n);
-  parallelFor(2 * n, [&](size_t t) {
-    const size_t i = t / 2;
-    const bool up = (t % 2) == 0;
-    (up ? hi_all : lo_all)[i] = measureWithVtShift(config, i, up ? vt_step : -vt_step);
-  });
+  // The 2n probe simulations (+/- step per device) are independent
+  // runner units; the central differences combine serially in id order.
+  // A probe that still throws after its escalated retry fails the whole
+  // analysis with the probe's own exception.
+  const std::vector<ShifterMetrics> probes = unitValuesOrRethrow(runUnits<ShifterMetrics>(
+      2 * n,
+      [&](size_t t, const RecoveryPolicy& policy) {
+        HarnessConfig cfg = config;
+        cfg.sim = attemptOptions(config.sim, policy);
+        ShifterTestbench tb(cfg);
+        tb.dutFets()[t / 2]->geometry().delta_vt = t % 2 == 0 ? vt_step : -vt_step;
+        return tb.measure();
+      },
+      {.recovery = config.sim.recovery}));
 
   double variance_rise = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const std::string name = probe.dutFets()[i]->name();
     const double vt_nominal = probe.dutFets()[i]->model().vt0;
-    const ShifterMetrics& hi = hi_all[i];
-    const ShifterMetrics& lo = lo_all[i];
+    const ShifterMetrics& hi = probes[2 * i];
+    const ShifterMetrics& lo = probes[2 * i + 1];
 
     SensitivityEntry e;
     e.device = name;

@@ -30,7 +30,8 @@ struct SensitivityReport {
 };
 
 /// Central-difference sensitivity scan over every DUT transistor.
-/// `vt_step` is the probe step [V].
+/// `vt_step` is the probe step [V]. A probe that throws on its first
+/// attempt and its escalated retry fails the scan with that exception.
 SensitivityReport analyzeVtSensitivity(const HarnessConfig& config, double vt_step = 10e-3);
 
 }  // namespace vls

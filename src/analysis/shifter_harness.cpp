@@ -4,9 +4,11 @@
 #include <cmath>
 
 #include "analysis/measure.hpp"
+#include "analysis/unit_runner.hpp"
 #include "base/error.hpp"
 #include "devices/mosfet.hpp"
 #include "devices/passive.hpp"
+#include "io/checkpoint.hpp"
 #include "sim/ensemble.hpp"
 #include "sim/simulator.hpp"
 
@@ -308,6 +310,32 @@ ShifterMetrics ShifterTestbench::extractMetrics(const TransientResult& run,
   return m;
 }
 
+void writeShifterMetrics(CheckpointWriter& w, const ShifterMetrics& m) {
+  w.f64(m.delay_rise);
+  w.f64(m.delay_fall);
+  w.f64(m.power_rise);
+  w.f64(m.power_fall);
+  w.f64(m.leakage_high);
+  w.f64(m.leakage_low);
+  w.f64(m.leakage_high_vddi);
+  w.f64(m.leakage_low_vddi);
+  w.u8(m.functional ? 1 : 0);
+}
+
+ShifterMetrics readShifterMetrics(CheckpointReader& r) {
+  ShifterMetrics m;
+  m.delay_rise = r.f64();
+  m.delay_fall = r.f64();
+  m.power_rise = r.f64();
+  m.power_fall = r.f64();
+  m.leakage_high = r.f64();
+  m.leakage_low = r.f64();
+  m.leakage_high_vddi = r.f64();
+  m.leakage_low_vddi = r.f64();
+  m.functional = r.u8() != 0;
+  return m;
+}
+
 ShifterMetrics measureShifter(const HarnessConfig& config) {
   ShifterTestbench tb(config);
   return tb.measure();
@@ -317,34 +345,27 @@ ShifterMetrics measureShifterWorstCase(const HarnessConfig& config) {
   // Adversarial input histories: what matters is how much charge the
   // ctrl node holds when the input falls (the paper's "worst-case input
   // sequence"). A runt high pulse leaves ctrl lowest.
-  std::vector<HarnessConfig> variants;
-  {
-    HarnessConfig v = config;
-    v.bits = {1, 0, 1, 0};
-    variants.push_back(v);
-  }
-  {
-    HarnessConfig v = config;
-    v.bits = {1, 1, 0, 1, 0};
-    variants.push_back(v);
-  }
-  {
-    HarnessConfig v = config;
-    v.bits = {1, 0, 1, 0, 1, 0, 1, 0};
-    v.bit_period = config.bit_period * 0.4;
-    variants.push_back(v);
-  }
+  std::vector<HarnessConfig> variants(3, config);
+  variants[0].bits = {1, 0, 1, 0};
+  variants[1].bits = {1, 1, 0, 1, 0};
+  variants[2].bits = {1, 0, 1, 0, 1, 0, 1, 0};
+  variants[2].bit_period = config.bit_period * 0.4;
 
-  ShifterMetrics worst;
-  worst.functional = true;
-  bool first = true;
-  for (const auto& v : variants) {
-    const ShifterMetrics m = measureShifter(v);
-    if (first) {
-      worst = m;
-      first = false;
-      continue;
-    }
+  // The variants are independent runner units; they fold in this fixed
+  // order, and a variant that still throws after its escalated retry
+  // fails the call with its own exception.
+  const std::vector<ShifterMetrics> metrics = unitValuesOrRethrow(runUnits<ShifterMetrics>(
+      variants.size(),
+      [&](size_t i, const RecoveryPolicy& policy) {
+        HarnessConfig v = variants[i];
+        v.sim = attemptOptions(config.sim, policy);
+        return measureShifter(v);
+      },
+      {.recovery = config.sim.recovery}));
+
+  ShifterMetrics worst = metrics.front();
+  for (size_t i = 1; i < metrics.size(); ++i) {
+    const ShifterMetrics& m = metrics[i];
     worst.delay_rise = std::max(worst.delay_rise, m.delay_rise);
     worst.delay_fall = std::max(worst.delay_fall, m.delay_fall);
     worst.power_rise = std::max(worst.power_rise, m.power_rise);

@@ -23,6 +23,9 @@
 
 namespace vls {
 
+class CheckpointReader;
+class CheckpointWriter;
+
 enum class ShifterKind {
   Sstvs,        ///< the paper's cell
   CombinedVs,   ///< Figure 6 baseline (inverter + Khan SS-VS + steering)
@@ -85,6 +88,11 @@ struct ShifterMetrics {
   double leakage_low_vddi = 0.0;
   bool functional = false;    ///< output reached both rails correctly
 };
+
+/// Checkpoint codec of one ShifterMetrics record (raw IEEE-754 bits, so
+/// a resumed run reproduces the uninterrupted one bit for bit).
+void writeShifterMetrics(CheckpointWriter& w, const ShifterMetrics& m);
+ShifterMetrics readShifterMetrics(CheckpointReader& r);
 
 /// One lane's outcome of an ensemble measurement. `ok` is false when
 /// the lane dropped out of the lockstep run (Newton / pivot / timestep
@@ -180,7 +188,9 @@ ShifterMetrics measureShifter(const HarnessConfig& config);
 /// The paper reports worst-case delays over input sequences (the ctrl
 /// node voltage at the falling input edge depends on history). Runs a
 /// canned set of adversarial sequences (long high, double high, fast
-/// toggling, short runt pulse) and returns per-metric worst cases.
+/// toggling, short runt pulse) and returns per-metric worst cases. The
+/// sequences run as parallel units; one that throws on its first
+/// attempt and its escalated retry fails the call with that exception.
 ShifterMetrics measureShifterWorstCase(const HarnessConfig& config);
 
 }  // namespace vls

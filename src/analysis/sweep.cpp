@@ -1,12 +1,10 @@
 #include "analysis/sweep.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <mutex>
 
+#include "analysis/unit_runner.hpp"
 #include "base/error.hpp"
-#include "base/parallel.hpp"
-#include "sim/diagnostics.hpp"
 
 namespace vls {
 
@@ -29,43 +27,49 @@ Sweep2dResult sweepSupplies(const HarnessConfig& base, const Sweep2dConfig& conf
   }
   result.vddo_axis = result.vddi_axis;
 
-  // Grid points are independent simulations: dispatch them across the
-  // worker pool, each writing its pre-sized row-major slot so the result
-  // layout never depends on completion order.
+  // Grid points are independent simulations: one runner unit each,
+  // writing its pre-sized row-major slot so the result layout never
+  // depends on completion order. A point that still throws after its
+  // escalated retry keeps its failure in the point's fields.
   const size_t cols = result.vddo_axis.size();
   const size_t total = result.vddi_axis.size() * cols;
   result.points.resize(total);
-  std::atomic<size_t> done{0};
+  const UnitRunOptions run{.threads = config.threads, .recovery = base.sim.recovery};
+  size_t done = 0;
   std::mutex progress_mutex;
-  parallelFor(
-      total,
-      [&](size_t idx) {
-        HarnessConfig cfg = base;
-        cfg.vddi = result.vddi_axis[idx / cols];
-        cfg.vddo = result.vddo_axis[idx % cols];
+  runUnitGroups(
+      total, 1,
+      [&](size_t idx, size_t) {
         SweepPoint p;
-        p.vddi = cfg.vddi;
-        p.vddo = cfg.vddo;
-        try {
-          p.metrics = measureShifter(cfg);
-        } catch (const Error& e) {
+        p.vddi = result.vddi_axis[idx / cols];
+        p.vddo = result.vddo_axis[idx % cols];
+        UnitResult<ShifterMetrics> r = runUnitAttempts<ShifterMetrics>(
+            idx,
+            [&](const RecoveryPolicy& policy) {
+              HarnessConfig cfg = base;
+              cfg.vddi = p.vddi;
+              cfg.vddo = p.vddo;
+              cfg.sim = attemptOptions(base.sim, policy);
+              return measureShifter(cfg);
+            },
+            run);
+        p.metrics = r.value;
+        if (!r.ok()) {
           p.metrics.functional = false;
-          p.error = e.what();
-          if (const auto* re = dynamic_cast<const RecoveryError*>(&e)) {
-            p.failure_stage = re->diagnostics().lastStageName();
-            p.failure_node = re->diagnostics().worstNode();
-          }
+          p.error = r.failure->message;
+          p.failure_stage = r.failure->stage;
+          p.failure_node = r.failure->node;
         }
-        const size_t d = ++done;
         if (config.on_point) {
-          // Progress callbacks are serialized; `d` counts completions,
-          // which under parallel execution need not follow grid order.
+          // Progress callbacks are serialized; `done` counts
+          // completions, which under parallel execution need not
+          // follow grid order.
           std::lock_guard<std::mutex> lock(progress_mutex);
-          config.on_point(p, d, total);
+          config.on_point(p, ++done, total);
         }
         result.points[idx] = std::move(p);
       },
-      config.threads);
+      run);
   return result;
 }
 

@@ -14,10 +14,10 @@ struct SweepPoint {
   double vddi = 0.0;
   double vddo = 0.0;
   ShifterMetrics metrics;
-  /// Set when the point's simulation threw (metrics.functional is then
-  /// forced false): the thrown message, plus the deepest recovery-
-  /// ladder stage and implicated node when the throw carried
-  /// ConvergenceDiagnostics.
+  /// Set when the point's simulation threw on its first attempt and on
+  /// its escalated retry (metrics.functional is then forced false): the
+  /// thrown message, plus the deepest recovery-ladder stage and
+  /// implicated node when the throw carried ConvergenceDiagnostics.
   std::string error;
   std::string failure_stage;
   std::string failure_node;

@@ -300,9 +300,4 @@ void parallelForRanges(size_t count, size_t chunk, int num_threads,
 
 }  // namespace detail
 
-void parallelFor(size_t count, const std::function<void(size_t)>& body, int num_threads) {
-  parallelForChunked(count, [&body](size_t i) { body(i); },
-                     ParallelOptions{num_threads, 0});
-}
-
 }  // namespace vls

@@ -1,6 +1,8 @@
 // Chunked work-stealing parallel-for over std::thread. The analysis
-// engines (Monte-Carlo, supply sweeps, corners, sensitivity) dispatch
-// independent simulations through it; each iteration builds its own
+// engines reach it through the unit runner (src/analysis/unit_runner:
+// Monte-Carlo, sweeps, corners, sensitivity, the worst-case stimulus
+// set), and the characterization farm, the sharded assembler and the
+// BBD solver call it directly; each unit builds its own
 // Circuit/Simulator, so no simulator state is shared between workers.
 //
 // Scheduling: the index space is split into one contiguous range per
@@ -29,14 +31,13 @@
 // worker is ever left running and no deadlock is possible. Exceptions
 // thrown by later chunks after cancellation are discarded.
 //
-// Nesting: a parallelFor issued from inside a parallelFor worker runs
+// Nesting: a parallelForChunked issued from inside a worker runs
 // inline on the calling worker (serially, over its full range) instead
 // of spawning a second pool — composed engines cannot oversubscribe
 // the machine by accident.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <type_traits>
 #include <utility>
 
@@ -56,7 +57,7 @@ int parallelThreadCount();
 /// chunks per worker, clamped to [1, 2048]. Exposed for its bounds test.
 size_t parallelAutoChunk(size_t count, size_t workers);
 
-/// True while the calling thread is executing inside a parallelFor
+/// True while the calling thread is executing inside a pool
 /// worker (used by the nested-call guard; exposed for tests).
 bool inParallelRegion();
 
@@ -93,10 +94,5 @@ void parallelForChunked(size_t count, Body&& body, ParallelOptions opt = {}) {
   detail::parallelForRanges(count, opt.chunk, opt.num_threads, range,
                             const_cast<std::remove_const_t<Fn>*>(&body), opt.job);
 }
-
-/// Compatibility wrapper over parallelForChunked for callers holding a
-/// std::function (one indirect call per index; hot loops should call
-/// the template directly).
-void parallelFor(size_t count, const std::function<void(size_t)>& body, int num_threads = 0);
 
 }  // namespace vls

@@ -1,8 +1,5 @@
 #include "devices/sources.hpp"
 
-#include <cmath>
-
-#include "base/error.hpp"
 #include "circuit/ensemble_assembly.hpp"
 #include "circuit/mna.hpp"
 #include "numeric/lanes.hpp"
@@ -167,58 +164,6 @@ NodeId Vccs::terminalNode(size_t t) const {
 
 double Vccs::terminalCurrent(size_t t, const EvalContext& ctx) const {
   const double i = gm_ * (ctx.v(cp_) - ctx.v(cm_));
-  if (t == 0) return i;
-  if (t == 1) return -i;
-  return 0.0;
-}
-
-VSwitch::VSwitch(std::string name, NodeId a, NodeId b, NodeId ctrl_plus, NodeId ctrl_minus,
-                 Params params)
-    : Device(std::move(name)), a_(a), b_(b), cp_(ctrl_plus), cm_(ctrl_minus), params_(params) {
-  if (params_.r_on <= 0.0 || params_.r_off <= 0.0) {
-    throw InvalidInputError("VSwitch " + this->name() + ": resistances must be > 0");
-  }
-}
-
-double VSwitch::conductanceAt(double vctrl) const {
-  // Log-space blend keeps the conductance positive and smooth.
-  const double g_on = 1.0 / params_.r_on;
-  const double g_off = 1.0 / params_.r_off;
-  const double s = std::tanh((vctrl - params_.v_threshold) / params_.v_hysteresis_width);
-  const double blend = 0.5 * (1.0 + s);  // 0..1
-  return std::exp(std::log(g_off) + blend * (std::log(g_on) - std::log(g_off)));
-}
-
-double VSwitch::dConductanceAt(double vctrl) const {
-  const double g = conductanceAt(vctrl);
-  const double s = std::tanh((vctrl - params_.v_threshold) / params_.v_hysteresis_width);
-  const double dblend = 0.5 * (1.0 - s * s) / params_.v_hysteresis_width;
-  return g * dblend * (std::log(1.0 / params_.r_on) - std::log(1.0 / params_.r_off));
-}
-
-void VSwitch::stamp(Stamper& stamper, const EvalContext& ctx) {
-  const double vctrl = ctx.v(cp_) - ctx.v(cm_);
-  const double vab = ctx.v(a_) - ctx.v(b_);
-  const double g = conductanceAt(vctrl);
-  const double dg = dConductanceAt(vctrl);
-  // i = g(vctrl) * vab, linearized in both vab and vctrl:
-  //   i ~= g*vab' + (dg*vab)*vctrl' + [i0 - g*vab - dg*vab*vctrl].
-  stamper.conductance(a_, b_, g);
-  stamper.transconductance(a_, b_, cp_, cm_, dg * vab);
-  stamper.currentSource(a_, b_, -dg * vab * vctrl);
-}
-
-NodeId VSwitch::terminalNode(size_t t) const {
-  switch (t) {
-    case 0: return a_;
-    case 1: return b_;
-    case 2: return cp_;
-    default: return cm_;
-  }
-}
-
-double VSwitch::terminalCurrent(size_t t, const EvalContext& ctx) const {
-  const double i = conductanceAt(ctx.v(cp_) - ctx.v(cm_)) * (ctx.v(a_) - ctx.v(b_));
   if (t == 0) return i;
   if (t == 1) return -i;
   return 0.0;

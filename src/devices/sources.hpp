@@ -137,33 +137,4 @@ class Vccs : public Device {
   double gm_;
 };
 
-/// Voltage-controlled switch with smooth (tanh-like) resistance
-/// transition between r_off and r_on around a threshold.
-class VSwitch : public Device {
- public:
-  struct Params {
-    double v_threshold = 0.5;
-    double v_hysteresis_width = 0.05;  ///< transition width (smooth, no memory)
-    double r_on = 1.0;
-    double r_off = 1e9;
-  };
-
-  VSwitch(std::string name, NodeId a, NodeId b, NodeId ctrl_plus, NodeId ctrl_minus, Params params);
-
-  void stamp(Stamper& stamper, const EvalContext& ctx) override;
-  size_t terminalCount() const override { return 4; }
-  NodeId terminalNode(size_t t) const override;
-  double terminalCurrent(size_t t, const EvalContext& ctx) const override;
-
- private:
-  double conductanceAt(double vctrl) const;
-  double dConductanceAt(double vctrl) const;
-
-  NodeId a_;
-  NodeId b_;
-  NodeId cp_;
-  NodeId cm_;
-  Params params_;
-};
-
 }  // namespace vls

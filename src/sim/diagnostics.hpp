@@ -46,8 +46,8 @@ enum class NewtonFailureReason : uint8_t {
 const char* newtonFailureReasonName(NewtonFailureReason reason);
 
 /// One point of a Newton residual trace: the worst unknown move of one
-/// iteration. Traces are depth-capped (RecoveryPolicy::newton_trace_depth)
-/// keeping the most recent iterations.
+/// iteration. Traces are depth-capped (kNewtonTraceDepth in
+/// sim/recovery.hpp), keeping the most recent iterations.
 struct NewtonTracePoint {
   size_t iteration = 0;
   double worst_delta = 0.0;

@@ -63,10 +63,6 @@ struct RecoveryPolicy {
   double ptran_grow = 4.0;        ///< anchor relaxation per converged step
   double ptran_shrink = 8.0;      ///< anchor tightening per failed step
   double ptran_g_abort = 1e6;     ///< give up when g grows past this [S]
-
-  /// Newton residual-trace depth kept per stage attempt (most recent
-  /// iterations); 0 disables tracing.
-  int newton_trace_depth = 8;
 };
 
 struct SimOptions {
@@ -99,11 +95,10 @@ struct SimOptions {
   // Partitioned bordered-block-diagonal solve (src/numeric/lu_bbd).
   // When set, Newton systems factor per-block in parallel coupled by a
   // Schur complement over the border unknowns; null solves flat.
+  // Blocks whose matrix values are unchanged since the previous
+  // refactor keep their factors (quiet islands on the bypass tape cost
+  // nothing).
   std::shared_ptr<const PartitionSpec> partition;
-  // Per-block latency for the BBD path: blocks whose matrix values are
-  // unchanged since the previous refactor keep their factors (quiet
-  // islands on the bypass tape cost nothing).
-  bool bbd_latency = true;
   // Flat-vs-BBD routing of the partition (see PartitionUse).
   PartitionUse partition_use = PartitionUse::Auto;
 
@@ -118,7 +113,6 @@ struct SimOptions {
   bool parallel_assembly = false;
   int assembly_threads = 0;     ///< workers; 0 = the VLS_THREADS pool width
   int device_batch_width = 8;   ///< MOSFETs per lane-kernel pass [1, kMaxLanes]
-  int assembly_shards = 0;      ///< hash-fallback shard count; 0 = auto
 
   // SPICE-style .nodeset: initial guess for every cold operating-point
   // solve (solveOp, the transient/ac/noise OP, dcSweep homotopy

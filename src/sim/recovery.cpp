@@ -62,7 +62,7 @@ void RecoveryEngine::recordOutcome(StageAttempt& attempt, const NewtonOutcome& o
   attempt.worst_node = out.worst_index >= 0 ? unknown_name_(out.worst_index) : "";
   attempt.singular_node = out.singular_index >= 0 ? unknown_name_(out.singular_index) : "";
   if (!out.injected.empty()) attempt.injected_fault = out.injected;
-  attempt.trace = out.trace;
+  attempt.trace = out.trace.toVector();
 }
 
 bool RecoveryEngine::runDirect(std::vector<double>& x, const std::vector<double>& x0,

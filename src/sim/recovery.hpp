@@ -17,6 +17,9 @@
 // state and a plain Newton polish finishes the solve.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -27,6 +30,31 @@
 
 namespace vls {
 
+/// Newton residual-trace depth: the most recent iterations kept per
+/// stage attempt.
+constexpr size_t kNewtonTraceDepth = 8;
+
+/// The last kNewtonTraceDepth trace points of one Newton attempt, in a
+/// fixed-capacity ring that never touches the heap (one is filled on
+/// every transient step). Copied out, oldest first, only where a stage
+/// attempt is recorded.
+class NewtonTraceRing {
+ public:
+  void push(const NewtonTracePoint& p) { points_[count_++ % kNewtonTraceDepth] = p; }
+  size_t size() const { return std::min(count_, kNewtonTraceDepth); }
+  /// The kept points, oldest first.
+  std::vector<NewtonTracePoint> toVector() const {
+    std::vector<NewtonTracePoint> out;
+    out.reserve(size());
+    for (size_t i = count_ - size(); i < count_; ++i) out.push_back(points_[i % kNewtonTraceDepth]);
+    return out;
+  }
+
+ private:
+  std::array<NewtonTracePoint, kNewtonTraceDepth> points_{};
+  size_t count_ = 0;  ///< points pushed so far
+};
+
 /// Result of one Newton attempt at fixed homotopy parameters.
 struct NewtonOutcome {
   bool converged = false;
@@ -36,7 +64,7 @@ struct NewtonOutcome {
   NewtonFailureReason failure = NewtonFailureReason::None;
   int singular_index = -1;   ///< unknown whose LU pivot collapsed
   std::string injected;      ///< fault-injection description, when one fired
-  std::vector<NewtonTracePoint> trace;  ///< per-iteration worst moves (depth-capped)
+  NewtonTraceRing trace;     ///< per-iteration worst moves (last kNewtonTraceDepth)
 };
 
 /// Pseudo-transient anchor passed to the attempt callback during the

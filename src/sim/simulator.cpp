@@ -44,8 +44,7 @@ Simulator::Simulator(Circuit& circuit, SimOptions options)
         break;
     }
     if (use_bbd) {
-      bbd_ = std::make_unique<BbdLu>(deriveUnknownPartition(), blocks, options_.lu_ordering,
-                                     options_.bbd_latency);
+      bbd_ = std::make_unique<BbdLu>(deriveUnknownPartition(), blocks, options_.lu_ordering);
     }
   }
   if (options_.parallel_assembly) {
@@ -55,8 +54,6 @@ Simulator::Simulator(Circuit& circuit, SimOptions options)
       cfg.device_shard = std::shared_ptr<const std::vector<int32_t>>(
           options_.partition, &options_.partition->device_block);
       cfg.num_shards = options_.partition->num_blocks;
-    } else {
-      cfg.num_shards = options_.assembly_shards;
     }
     cfg.num_threads = options_.assembly_threads;
     cfg.device_batch_width = options_.device_batch_width;
@@ -139,7 +136,6 @@ NewtonOutcome Simulator::newtonAttempt(double time, double dt, IntegrationMethod
   assembly_opts.bypass_tol = options_.bypass_tol;
 
   NewtonOutcome out;
-  const int trace_depth = options_.recovery.newton_trace_depth;
   std::vector<double>& x_new = x_new_;
   using Clock = std::chrono::steady_clock;
   const auto seconds_since = [](Clock::time_point t0) {
@@ -237,12 +233,7 @@ NewtonOutcome Simulator::newtonAttempt(double time, double dt, IntegrationMethod
     }
     out.worst_delta = update.max_delta;
     out.worst_index = update.worst;
-    if (trace_depth > 0) {
-      if (out.trace.size() >= static_cast<size_t>(trace_depth)) {
-        out.trace.erase(out.trace.begin());
-      }
-      out.trace.push_back({static_cast<size_t>(iter), update.max_delta});
-    }
+    out.trace.push({static_cast<size_t>(iter), update.max_delta});
     if (update.converged && iter > 0) {
       out.converged = true;
       return out;
@@ -506,7 +497,7 @@ TransientResult Simulator::transient(double t_stop, double dt_max, double dt_ini
     attempt.worst_node = o.worst_index >= 0 ? unknownName(o.worst_index) : "";
     attempt.singular_node = o.singular_index >= 0 ? unknownName(o.singular_index) : "";
     if (!o.injected.empty()) attempt.injected_fault = o.injected;
-    attempt.trace = o.trace;
+    attempt.trace = o.trace.toVector();
   };
 
   std::vector<double> x_prev = x;  // solution one accepted step back

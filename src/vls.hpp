@@ -7,7 +7,7 @@
 //   base/     units, errors, logging
 //   numeric/  linear algebra, AD, RNG, statistics
 //   circuit/  nodes, devices, MNA
-//   devices/  R/C/L, sources, diode, BJT, MOSFET + model cards
+//   devices/  R/C/L, sources, diode, MOSFET + model cards
 //   sim/      OP, DC sweep, transient, AC
 //   cells/    gates, the SS-TVS, all comparison shifters, interconnect
 //   analysis/ measurements, harness, Monte-Carlo, corners, sweeps, area
@@ -25,7 +25,6 @@
 
 #include "circuit/circuit.hpp"
 
-#include "devices/bjt.hpp"
 #include "devices/diode.hpp"
 #include "devices/model_library.hpp"
 #include "devices/mosfet.hpp"

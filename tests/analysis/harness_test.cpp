@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 namespace vls {
 namespace {
@@ -121,6 +123,33 @@ TEST(Harness, TemperatureRaisesLeakage) {
   const ShifterMetrics mh = measureShifter(hot);
   EXPECT_TRUE(mh.functional);
   EXPECT_GT(mh.leakage_high + mh.leakage_low, (mc_.leakage_high + mc_.leakage_low) * 2.0);
+}
+
+TEST(WorstCase, ThreadInvariant) {
+  // The three stimulus variants run as parallel units; the folded worst
+  // case must not depend on how many workers ran them.
+  const char* old = std::getenv("VLS_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  HarnessConfig cfg;
+  setenv("VLS_THREADS", "1", 1);
+  const ShifterMetrics serial = measureShifterWorstCase(cfg);
+  setenv("VLS_THREADS", "4", 1);
+  const ShifterMetrics parallel = measureShifterWorstCase(cfg);
+  if (old != nullptr) {
+    setenv("VLS_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("VLS_THREADS");
+  }
+  EXPECT_EQ(serial.delay_rise, parallel.delay_rise);
+  EXPECT_EQ(serial.delay_fall, parallel.delay_fall);
+  EXPECT_EQ(serial.power_rise, parallel.power_rise);
+  EXPECT_EQ(serial.power_fall, parallel.power_fall);
+  EXPECT_EQ(serial.leakage_high, parallel.leakage_high);
+  EXPECT_EQ(serial.leakage_low, parallel.leakage_low);
+  EXPECT_EQ(serial.leakage_high_vddi, parallel.leakage_high_vddi);
+  EXPECT_EQ(serial.leakage_low_vddi, parallel.leakage_low_vddi);
+  EXPECT_EQ(serial.functional, parallel.functional);
+  EXPECT_TRUE(serial.functional);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/job_control.hpp"
+#include "io/checkpoint.hpp"
 
 namespace vls {
 namespace {
@@ -679,6 +680,37 @@ TEST(MonteCarloCheckpoint, IncompatibleConfigRejected) {
   MonteCarloConfig mode = mc;
   mode.sampling = SamplingMode::Sobol;
   EXPECT_THROW(runMonteCarlo(h, mode), InvalidInputError);
+}
+
+TEST(MonteCarloCheckpoint, OldPayloadVersionRejected) {
+  // A payload of the previous layout (sub-version 1: the configuration
+  // fields inline, no fingerprint blob) must be refused, never misread.
+  HarnessConfig h;
+  h.kind = ShifterKind::Sstvs;
+  ScopedCkpt f("test_mc_v1.vlsckpt");
+  MonteCarloConfig mc;
+  mc.samples = 2048;
+  mc.seed = 11;
+  mc.evaluator = makeSurrogateEvaluator(h);
+  mc.checkpoint_path = f.path;
+  mc.checkpoint_interval = 1024;
+  CheckpointWriter w;
+  w.u32(1);
+  w.u64(mc.seed);
+  w.u8(static_cast<uint8_t>(mc.sampling));
+  w.u64(2048);  // samples
+  w.u8(0);      // streaming
+  w.u64(1);     // width
+  w.u64(1024);  // interval
+  w.u64(static_cast<uint64_t>(int64_t{-1}));  // fault_sample
+  w.u64(1);     // max_retries
+  w.f64(mc.variation.sigma_w);
+  w.f64(mc.variation.sigma_l);
+  w.f64(mc.variation.sigma_vt_rel);
+  w.f64(mc.variation.sigma_temperature_c);
+  w.u64(1024);  // completed-id watermark
+  writeCheckpointFile(f.path, kCheckpointKindMonteCarlo, w);
+  EXPECT_THROW(runMonteCarlo(h, mc), InvalidInputError);
 }
 
 TEST(MonteCarloCheckpoint, FaultedSampleKeepsFailureRecordAcrossResume) {

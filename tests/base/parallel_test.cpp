@@ -40,13 +40,6 @@ TEST(ParallelFor, ZeroCountIsNoOp) {
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelFor, FunctionWrapperDelegates) {
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  parallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); }, 3);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 // Exception semantics: the first exception wins, is rethrown on the
 // calling thread with its type intact, and the join never deadlocks
 // even with stolen chunks in flight on other workers.
@@ -101,7 +94,7 @@ TEST(ParallelFor, ExceptionCancelsRemainingChunks) {
   EXPECT_LT(visited.load(), 1 << 20);
 }
 
-// Nested guard: a parallelFor issued from inside a worker body must run
+// Nested guard: a parallelForChunked issued from inside a worker body must run
 // inline on that worker's thread (no pool-in-pool oversubscription, no
 // deadlock), and inParallelRegion() reports the nesting.
 TEST(ParallelFor, NestedCallsRunInlineOnWorkerThread) {

@@ -63,35 +63,6 @@ TEST(Vccs, Transconductance) {
   EXPECT_NEAR(x[out], -1.0, 1e-9);
 }
 
-TEST(VSwitch, OnOffResistance) {
-  Circuit c;
-  const NodeId a = c.node("a");
-  const NodeId b = c.node("b");
-  const NodeId ctl = c.node("ctl");
-  c.add<VoltageSource>("v", a, kGround, 1.0);
-  auto& vc = c.add<VoltageSource>("vc", ctl, kGround, 0.0);
-  VSwitch::Params p;
-  p.v_threshold = 0.5;
-  p.r_on = 100.0;
-  p.r_off = 1e9;
-  c.add<VSwitch>("s", a, b, ctl, kGround, p);
-  c.add<Resistor>("rl", b, kGround, 100.0);
-  Simulator sim(c);
-  auto x = sim.solveOp();
-  EXPECT_LT(x[b], 1e-3);  // switch off: divider with 1e9 ohm
-  vc.setWaveform(Waveform::dc(1.0));
-  x = sim.solveOp();
-  EXPECT_NEAR(x[b], 0.5, 1e-3);  // on: 100/100 divider
-}
-
-TEST(VSwitch, RejectsNonPositiveResistance) {
-  Circuit c;
-  const NodeId a = c.node("a");
-  VSwitch::Params p;
-  p.r_on = 0.0;
-  EXPECT_THROW(c.add<VSwitch>("s", a, kGround, a, kGround, p), InvalidInputError);
-}
-
 TEST(VoltageSource, PulseDrivesTransient) {
   Circuit c;
   const NodeId a = c.node("a");

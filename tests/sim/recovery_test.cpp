@@ -155,6 +155,50 @@ TEST(Recovery, TransientOpRecoveryIsRecorded) {
   EXPECT_TRUE(d.stages[1].converged);
 }
 
+TEST(Recovery, NewtonTraceKeepsLastIterationsOldestFirst) {
+  // A 10 V source through a resistor: the 0.4 V step clamp makes the
+  // direct Newton walk the node up 0.4 V per iteration, so iteration k
+  // sees a raw worst move of 10 - 0.4 k. The fault aborts iteration 12;
+  // the recorded trace is the last kNewtonTraceDepth iterations, 4..11.
+  Circuit c;
+  const NodeId a = c.node("a");
+  c.add<VoltageSource>("v", a, kGround, 10.0);
+  c.add<Resistor>("r", a, kGround, 1000.0);
+  FaultSpec spec;
+  spec.fail_newton_at_iteration = 12;
+  spec.stage_mask = recoveryStageBit(RecoveryStage::DirectNewton);
+  spec.max_fires = 1;
+  Simulator sim(c, withFault(spec));
+  const TransientResult r = sim.transient(1e-12, 1e-12);
+  ASSERT_GE(r.recovery_events.size(), 1u);
+  const StageAttempt& direct = r.recovery_events.front().stages.front();
+  ASSERT_EQ(direct.stage, RecoveryStage::DirectNewton);
+  ASSERT_EQ(direct.failure, NewtonFailureReason::InjectedFault);
+  ASSERT_EQ(direct.trace.size(), kNewtonTraceDepth);
+  for (size_t k = 0; k < direct.trace.size(); ++k) {
+    const size_t iter = 12 - kNewtonTraceDepth + k;
+    EXPECT_EQ(direct.trace[k].iteration, iter);
+    EXPECT_NEAR(direct.trace[k].worst_delta, 10.0 - 0.4 * static_cast<double>(iter), 1e-9);
+  }
+}
+
+TEST(Recovery, NewtonTraceRingBeforeAndAfterWrap) {
+  NewtonTraceRing ring;
+  EXPECT_TRUE(ring.toVector().empty());
+  for (size_t i = 0; i < 3; ++i) ring.push({i, 1.0 * static_cast<double>(i)});
+  std::vector<NewtonTracePoint> v = ring.toVector();
+  ASSERT_EQ(v.size(), 3u);
+  for (size_t k = 0; k < 3; ++k) EXPECT_EQ(v[k].iteration, k);
+  for (size_t i = 3; i < 2 * kNewtonTraceDepth + 1; ++i) {
+    ring.push({i, 1.0 * static_cast<double>(i)});
+  }
+  v = ring.toVector();
+  ASSERT_EQ(v.size(), kNewtonTraceDepth);
+  for (size_t k = 0; k < v.size(); ++k) {
+    EXPECT_EQ(v[k].iteration, kNewtonTraceDepth + 1 + k);
+  }
+}
+
 TEST(Recovery, FaultInsideGminRungEscalatesToSourceStepping) {
   // Two firings: one kills direct Newton, the second fires *inside* the
   // first gmin rung. The ladder must escalate once more and land the
