@@ -67,20 +67,6 @@ void drainJob(Job& job, size_t self) {
   const size_t workers = job.workers;
   const uint32_t chunk = job.chunk;
   while (!job.cancelled.load(std::memory_order_relaxed)) {
-    if (job.control != nullptr && job.control->interrupted()) {
-      // Surface the interrupt through the normal first-exception-wins
-      // path so the caller sees a structured JobInterrupted.
-      std::lock_guard<std::mutex> lock(job.error_mutex);
-      if (!job.first_error) {
-        try {
-          job.control->throwIfInterrupted("parallel-for");
-        } catch (...) {
-          job.first_error = std::current_exception();
-        }
-      }
-      job.cancelled.store(true, std::memory_order_relaxed);
-      return;
-    }
     uint32_t begin = 0, end = 0;
     bool got = false;
     uint64_t cur = deques[self].range.load(std::memory_order_acquire);
@@ -120,6 +106,23 @@ void drainJob(Job& job, size_t self) {
       }
       if (!stole) return;
       continue;
+    }
+    if (job.control != nullptr && job.control->interrupted()) {
+      // Checked only once a chunk is claimed, so an interrupt that lands
+      // as the last unit finishes (auto-cancel watermark, deadline) does
+      // not fail a job whose work is all done. The claimed chunk is
+      // dropped; the interrupt surfaces through the normal
+      // first-exception-wins path as a structured JobInterrupted.
+      std::lock_guard<std::mutex> lock(job.error_mutex);
+      if (!job.first_error) {
+        try {
+          job.control->throwIfInterrupted("parallel-for");
+        } catch (...) {
+          job.first_error = std::current_exception();
+        }
+      }
+      job.cancelled.store(true, std::memory_order_relaxed);
+      return;
     }
     try {
       job.range(job.ctx, job.base + begin, job.base + end);

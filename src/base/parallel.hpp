@@ -66,7 +66,9 @@ struct ParallelOptions {
   size_t chunk = 0;     ///< indices per work item; 0 = parallelAutoChunk
   /// Optional cooperative cancellation / deadline handle, checked
   /// before every chunk dispatch (including the inline single-worker
-  /// path, which then self-chunks). An interrupt surfaces as a
+  /// path, which then self-chunks) — only when a chunk is left to run,
+  /// so a job interrupted just as its last chunk finishes completes
+  /// normally. An interrupt surfaces as a
   /// JobInterrupted rethrown on the calling thread through the
   /// first-exception-wins machinery. Not owned; must outlive the call.
   const JobControl* job = nullptr;

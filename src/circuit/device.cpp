@@ -18,6 +18,12 @@ void Device::stampDeviceBatch(std::span<Device* const> devs, std::span<const uin
   }
 }
 
+void Device::stampLanes(LaneStamper&, const LaneContext&, DeviceLaneState*) {
+  throw InvalidInputError("Device " + name() +
+                          " has no lane evaluation; run this circuit through the scalar "
+                          "Simulator");
+}
+
 ChargeCompanion integrateCharge(IntegrationMethod method, double dt, double q, double c,
                                 const ChargeHistory& history) {
   ChargeCompanion out;

@@ -74,7 +74,6 @@ struct LaneContext {
   std::span<const double> x;         ///< SoA unknowns, size() * lanes doubles
   const double* zero = nullptr;      ///< shared double[lanes] of zeros (ground voltages)
   size_t lanes = 1;
-  const uint8_t* active = nullptr;   ///< per-lane mask; null = every lane active
   double time = 0.0;
   double dt = 0.0;
   IntegrationMethod method = IntegrationMethod::None;
@@ -86,10 +85,11 @@ struct LaneContext {
   const double* v(NodeId n) const {
     return isGround(n) ? zero : &x[static_cast<size_t>(n) * lanes];
   }
-  bool laneActive(size_t l) const { return active == nullptr || active[l] != 0; }
+  /// Contiguous double[lanes] run of branch unknown b (absolute index).
+  const double* branch(size_t b) const { return &x[b * lanes]; }
 };
 
-///// Opaque per-device ensemble state: per-lane geometry overrides,
+/// Opaque per-device ensemble state: per-lane geometry overrides,
 /// cached operating points, and charge histories. Created by the device
 /// (createLaneState), owned by the EnsembleSimulator, and passed back
 /// into every lane-wise call — the device object itself stays untouched
@@ -157,36 +157,24 @@ class Device {
   virtual void acceptStep(const EvalContext& ctx) { (void)ctx; }
 
   // --- ensemble (lane-batched) evaluation ----------------------------
-  /// Whether this device implements the lane-wise stamping API. Devices
-  /// that do not are still usable in ensembles: the ensemble assembler
-  /// falls back to per-lane scalar stamp() through a scratch system.
-  virtual bool supportsLanes() const { return false; }
+  // Every device of the library evaluates K lanes through this API —
+  // there is no per-lane scalar fallback. The ensemble engine calls
+  // createLaneState once per run, stampLanes per Newton iteration and
+  // startTransientLanes / acceptStepLanes around every accepted step.
 
-  /// Whether the per-lane scalar fallback (stamp() run once per lane
-  /// through a scratch system) is correct for this device. False for
-  /// devices whose stamp()/acceptStep() carry integration state that
-  /// would be shared — and corrupted — across lanes. The ensemble
-  /// engine refuses circuits containing a device that neither supports
-  /// lanes nor is fallback-safe.
-  virtual bool laneFallbackSafe() const { return true; }
-
-  /// Allocate per-lane state for an ensemble of the given width. Only
-  /// called when supportsLanes() is true; may return null if the device
-  /// is stateless across lanes.
+  /// Allocate per-lane state for an ensemble of the given width; null
+  /// for devices whose lane stamps carry no state (resistor, VCVS, ...).
   virtual std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const {
     (void)lanes;
     return nullptr;
   }
 
   /// Linearize all lanes at ctx.x and stamp companion models for every
-  /// active lane (inactive lanes' slots must be left as assembled, i.e.
-  /// zero). Only called when supportsLanes() is true.
-  virtual void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
-                          DeviceLaneState* state) {
-    (void)stamper;
-    (void)ctx;
-    (void)state;
-  }
+  /// lane through `stamper`, in the same op sequence for every call of
+  /// one analysis mode (the lane tape replays it). `state` is what
+  /// createLaneState returned. The base implementation throws: a device
+  /// without a lane evaluation runs through the scalar Simulator only.
+  virtual void stampLanes(LaneStamper& stamper, const LaneContext& ctx, DeviceLaneState* state);
 
   /// Lane-wise analogue of startTransient / acceptStep, operating purely
   /// on `state`.

@@ -431,7 +431,7 @@ void LaneStamper::addRhsUniform(int row, double value) {
 }
 
 EnsembleAssembler::EnsembleAssembler(const Circuit& circuit, EnsembleSystem& system)
-    : circuit_(circuit), sys_(system), scratch_(system.numNodes(), system.numBranches()) {}
+    : circuit_(circuit), sys_(system) {}
 
 void EnsembleAssembler::assemble(const LaneContext& ctx,
                                  const std::vector<DeviceLaneState*>& states,
@@ -447,11 +447,7 @@ void EnsembleAssembler::assemble(const LaneContext& ctx,
     for (size_t i = 0; i < devices.size(); ++i) {
       Device* dev = devices[i].get();
       tape.beginDevice();
-      if (dev->supportsLanes()) {
-        dev->stampLanes(stamper, ctx, states[i]);
-      } else {
-        assembleGeneric(*dev, ctx);
-      }
+      dev->stampLanes(stamper, ctx, states[i]);
       for (size_t t = 0; t < dev->terminalCount(); ++t) {
         tape.recordTerminalVoltages(ctx.v(dev->terminalNode(t)));
       }
@@ -466,10 +462,6 @@ void EnsembleAssembler::assemble(const LaneContext& ctx,
     const bool track_voltages = options.enable_bypass;
     for (size_t i = 0; i < devices.size(); ++i) {
       Device* dev = devices[i].get();
-      if (!dev->supportsLanes()) {
-        assembleGeneric(*dev, ctx);
-        continue;
-      }
       const LaneTape::Span& sp = tape.span(i);
       if (bypass_active && dev->supportsBypass() &&
           lanesQuiet(*dev, tape, sp, ctx, options.bypass_tol)) {
@@ -495,44 +487,6 @@ void EnsembleAssembler::assemble(const LaneContext& ctx,
   for (size_t handle : tape.gminHandles()) {
     double* v = sys_.matrix().laneValues(handle);
     for (size_t l = 0; l < K; ++l) v[l] += ctx.gmin;
-  }
-}
-
-void EnsembleAssembler::assembleGeneric(Device& dev, const LaneContext& ctx) {
-  // Per-lane scalar fallback: gather one lane's unknowns into AoS form,
-  // run the device's scalar stamp() into the scratch system, and
-  // scatter the scratch entries into that lane's slots. Correct for any
-  // device whose stamp is stateless between Newton iterations; devices
-  // with integration state must implement the lane API (enforced by the
-  // EnsembleSimulator).
-  const size_t K = ctx.lanes;
-  const size_t n = sys_.size();
-  x_lane_.resize(n);
-  for (size_t l = 0; l < K; ++l) {
-    for (size_t i = 0; i < n; ++i) x_lane_[i] = ctx.x[i * K + l];
-    EvalContext ectx;
-    ectx.x = x_lane_;
-    ectx.time = ctx.time;
-    ectx.dt = ctx.dt;
-    ectx.method = ctx.method;
-    ectx.temperature = ctx.temperature;
-    ectx.source_scale = ctx.source_scale;
-    ectx.gmin = ctx.gmin;
-    scratch_.clear();
-    Stamper st(scratch_);
-    dev.stamp(st, ectx);
-    const auto& coords = scratch_.matrix().entries();
-    for (size_t h = scratch_map_.size(); h < coords.size(); ++h) {
-      scratch_map_.push_back(sys_.matrix().entryHandle(coords[h].row, coords[h].col));
-    }
-    for (size_t h = 0; h < coords.size(); ++h) {
-      const double v = scratch_.matrix().value(h);
-      if (v != 0.0) sys_.matrix().laneValues(scratch_map_[h])[l] += v;
-    }
-    const auto& rhs = scratch_.rhs();
-    for (size_t r = 0; r < n; ++r) {
-      if (rhs[r] != 0.0) sys_.rhsLanes(r)[l] += rhs[r];
-    }
   }
 }
 

@@ -1,10 +1,8 @@
 // Ensemble (lane-batched) MNA assembly. One EnsembleSystem holds the
 // shared sparsity pattern plus K lanes of numeric values (SoA: each
-// matrix entry and RHS row is a contiguous double[K] run). Lane-capable
-// devices stamp all K Monte-Carlo variants of themselves in one pass
-// through the LaneStamper; devices without lane support fall back to
-// their scalar stamp() run once per lane through a scratch system whose
-// entries are scattered into the matching lane slots.
+// matrix entry and RHS row is a contiguous double[K] run). Every device
+// stamps all K Monte-Carlo variants of itself in one pass through the
+// LaneStamper.
 //
 // The LaneStamper reuses the scalar TapeOp record/replay protocol with
 // lane stride: record mode resolves LaneMatrix handles once per
@@ -199,9 +197,8 @@ class LaneStamper {
 };
 
 /// Assembles every device of a circuit into an EnsembleSystem for one
-/// lane context: lane-capable devices through the LaneStamper (with
-/// per-mode record/replay tapes), the rest through the per-lane scalar
-/// fallback. Adds ctx.gmin on every node diagonal (all lanes).
+/// lane context through the LaneStamper, with per-mode record/replay
+/// tapes. Adds ctx.gmin on every node diagonal (all lanes).
 ///
 /// With AssemblyOptions bypass enabled, a replay skips the model
 /// evaluation of any bypass-capable device whose terminal voltages
@@ -213,7 +210,7 @@ class EnsembleAssembler {
   EnsembleAssembler(const Circuit& circuit, EnsembleSystem& system);
 
   /// states[i] belongs to circuit.devices()[i] (null for devices
-  /// without lane support).
+  /// without lane state).
   void assemble(const LaneContext& ctx, const std::vector<DeviceLaneState*>& states,
                 const AssemblyOptions& options = {});
 
@@ -222,15 +219,10 @@ class EnsembleAssembler {
   size_t bypassedEvaluations() const { return bypassed_; }
 
  private:
-  void assembleGeneric(Device& dev, const LaneContext& ctx);
-
   const Circuit& circuit_;
   EnsembleSystem& sys_;
   LaneTape tape_dc_;
   LaneTape tape_tran_;
-  MnaSystem scratch_;               // per-lane scalar fallback target
-  std::vector<size_t> scratch_map_;  // scratch matrix handle -> ensemble handle
-  std::vector<double> x_lane_;       // gathered AoS unknowns of one lane
   size_t bypassed_ = 0;
 };
 

@@ -24,7 +24,6 @@ class Diode : public Device {
   bool supportsBypass() const override { return true; }
   void startTransient(const EvalContext& ctx) override;
   void acceptStep(const EvalContext& ctx) override;
-  bool supportsLanes() const override { return true; }
   std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const override;
   void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                   DeviceLaneState* state) override;

@@ -22,6 +22,220 @@ double sigmoid(double x) {
   return 1.0 / (1.0 + std::exp(-x));
 }
 
+/// Effective channel length (Meyer caps): drawn length plus the
+/// instance shift, less the card's lateral diffusion on both sides.
+double effL(const MosModelCard& m, const MosGeometry& g) { return g.l + g.delta_l - 2.0 * m.dl; }
+
+/// Junction area [m^2]: the configured one, else a diffusion 2.5 gate
+/// lengths long.
+double junctionAreaOf(const MosGeometry& g, bool drain) {
+  const double configured = drain ? g.area_d : g.area_s;
+  return configured > 0.0 ? configured : g.effW() * 2.5 * g.l;
+}
+
+/// Zero-bias junction capacitance prefactor: area plus sidewall
+/// perimeter terms (square-diffusion estimate).
+double junctionC0Of(const MosModelCard& m, double area) {
+  return m.cj * area + m.cjsw * 2.0 * (std::sqrt(area) * 2.0);
+}
+
+// --- lane kernel ---------------------------------------------------------
+// One SoA evaluation of K variants of one model card, shared by both lane
+// entry points: K same-card devices of a sharded-assembly batch
+// (stampDeviceBatch) and K Monte-Carlo or farm variants of one device
+// (stampLanes / acceptStepLanes). Only the gathers and the emitters
+// differ between them.
+
+/// Per-lane parameters, each a double[K] run.
+struct LaneParams {
+  const double* vt;
+  const double* beta;
+  const double* w_eff;
+  const double* l_eff;
+  const double* l_gate;    // drawn gate length (gate-leakage area)
+  const double* jarea[2];  // [drain, source] junction areas [m^2]
+  const double* jc0[2];    // [drain, source] junction cap prefactors [F]
+};
+
+/// Terminal voltages of every lane, each a double[K] run.
+struct LaneTerminals {
+  const double* d;
+  const double* g;
+  const double* s;
+  const double* b;
+};
+
+/// Kernel results per lane, in the form stamp() emits them.
+struct LaneEval {
+  // DC channel: Jacobian row and linearized current d -> s.
+  double gg[kMaxLanes], gd[kMaxLanes], gs[kMaxLanes], gb[kMaxLanes], i_const[kMaxLanes];
+  // Junction diodes [drain, source]: conductance and companion current.
+  double gj[2][kMaxLanes], j_rhs[2][kMaxLanes];
+  // Gate leakage (card.jg > 0 only).
+  double g_gl[kMaxLanes], i_gl[kMaxLanes];
+  // Meyer and junction depletion capacitances (caps only).
+  double cgs[kMaxLanes], cgd[kMaxLanes], cgb[kMaxLanes], cbd[kMaxLanes], cbs[kMaxLanes];
+};
+
+/// Depletion cap for all lanes: junctionCap's knee linearization,
+/// evaluated branch-free.
+void junctionCapLanes(const MosModelCard& m, size_t lanes, const double* v, const double* c0,
+                      double* c) {
+  const double v_knee = m.fc * m.pb;
+  const double k_knee = std::pow(1.0 - m.fc, -m.mj);
+  const double k_slope = k_knee * m.mj / (m.pb * (1.0 - m.fc));
+  const double inv_pb = 1.0 / m.pb;
+#pragma omp simd
+  for (size_t l = 0; l < lanes; ++l) {
+    // Clamp the depletion argument: lanes above the knee take the linear
+    // branch, so the clamped value only keeps the dead computation finite.
+    const double arg = std::max(1.0 - v[l] * inv_pb, 1e-9);
+    const double c_dep = c0[l] * fastExp(-m.mj * fastLog(arg));
+    const double c_lin = c0[l] * (k_knee + k_slope * (v[l] - v_knee));
+    c[l] = v[l] < v_knee ? c_dep : c_lin;
+  }
+}
+
+/// Evaluates K lanes of card `m`: the DC companions (channel, junction
+/// diodes, gate leakage) when `dc`, the five capacitances when `caps`.
+void evalLanes(const MosModelCard& m, size_t K, double temperature, const LaneParams& p,
+               const LaneTerminals& v, bool dc, bool caps, LaneEval& out) {
+  const double s = m.sign();
+  const double ut = thermalVoltage(temperature);
+  const double n = m.n_slope;
+
+  // Polarity-normalized, bulk-referenced voltages.
+  double vgn[kMaxLanes] = {}, vdn[kMaxLanes] = {}, vsn[kMaxLanes] = {};
+#pragma omp simd
+  for (size_t l = 0; l < K; ++l) {
+    vgn[l] = s * (v.g[l] - v.b[l]);
+    vdn[l] = s * (v.d[l] - v.b[l]);
+    vsn[l] = s * (v.s[l] - v.b[l]);
+  }
+
+  if (dc) {
+    // --- DC channel current (SoA core + hand-derived Jacobian) --------
+    double ids[kMaxLanes] = {};
+    mosCoreCurrentLanes(m, K, ut, n, p.vt, p.beta, vgn, vdn, vsn, ids, out.gg, out.gd, out.gs);
+#pragma omp simd
+    for (size_t l = 0; l < K; ++l) {
+      ids[l] *= s;
+      out.gb[l] = -(out.gg[l] + out.gd[l] + out.gs[l]);
+      out.i_const[l] = ids[l] - out.gg[l] * v.g[l] - out.gd[l] * v.d[l] -
+                       out.gs[l] * v.s[l] - out.gb[l] * v.b[l];
+    }
+
+    // --- Junction diodes (bulk-drain, bulk-source) --------------------
+    double i_sat[kMaxLanes] = {}, v_ac[kMaxLanes] = {}, ij[kMaxLanes] = {};
+    for (int which = 0; which < 2; ++which) {
+      const double* vdiff = which == 0 ? v.d : v.s;
+      for (size_t l = 0; l < K; ++l) {
+        i_sat[l] = m.js * p.jarea[which][l];
+        v_ac[l] = s * (v.b[l] - vdiff[l]);
+      }
+      junctionCurrentLanes(K, i_sat, m.n_j, ut, v_ac, ij, out.gj[which]);
+      for (size_t l = 0; l < K; ++l) {
+        out.j_rhs[which][l] = s * ij[l] - out.gj[which][l] * (v.b[l] - vdiff[l]);
+      }
+    }
+
+    // --- Gate leakage (optional; card-wide switch) --------------------
+    if (m.jg > 0.0) {
+      const double j_scale = m.jg / std::sinh(2.0);
+#pragma omp simd
+      for (size_t l = 0; l < K; ++l) {
+        const double scale = j_scale * p.w_eff[l] * p.l_gate[l];
+        const double vgb = v.g[l] - v.b[l];
+        const double e = fastExp(2.0 * vgb);
+        const double ei = 1.0 / e;
+        out.g_gl[l] = scale * (e + ei);                          // scale * 2 cosh(2 vgb)
+        out.i_gl[l] = scale * 0.5 * (e - ei) - out.g_gl[l] * vgb;  // sinh term minus g*v
+      }
+    }
+  }
+
+  if (caps) {
+    // --- Meyer partition (see meyerCaps) -------------------------------
+    const double cox = m.cox();
+    const double k_soft = 2.0 * n * ut;
+    const double inv_k = 1.0 / k_soft;
+    const double inv_2ut = 1.0 / (2.0 * ut);
+#pragma omp simd
+    for (size_t l = 0; l < K; ++l) {
+      const double cox_area = cox * p.w_eff[l] * p.l_eff[l];
+      const double v_min =
+          -k_soft * fastLog(fastExp(-vdn[l] * inv_k) + fastExp(-vsn[l] * inv_k));
+      const double vp = (vgn[l] - p.vt[l]) / n;
+      const double x_inv = fastSigmoid((vp - v_min) * inv_2ut);
+      const double vgt = std::max(n * (vp - v_min), 0.0);
+      const double vdsat = std::max(vgt / n, 4.0 * ut);
+      const double sp = 0.5 * (1.0 + fastTanh((vdn[l] - vsn[l]) / vdsat));
+      const double sp_m = 1.0 - sp;
+      const double meyer_s = (-2.0 / 3.0) * sp * sp + (4.0 / 3.0) * sp;
+      const double meyer_d = (-2.0 / 3.0) * sp_m * sp_m + (4.0 / 3.0) * sp_m;
+      out.cgs[l] = cox_area * x_inv * meyer_s + m.cgso * p.w_eff[l];
+      out.cgd[l] = cox_area * x_inv * meyer_d + m.cgdo * p.w_eff[l];
+      out.cgb[l] = cox_area * (1.0 - x_inv) * 0.7 + m.cgbo * p.l_eff[l];
+    }
+
+    // --- Junction depletion (bulk-drain, bulk-source) -----------------
+    double vj[kMaxLanes] = {};
+    for (int which = 0; which < 2; ++which) {
+      const double* vdiff = which == 0 ? v.d : v.s;
+      for (size_t l = 0; l < K; ++l) vj[l] = s * (v.b[l] - vdiff[l]);
+      junctionCapLanes(m, K, vj, p.jc0[which], which == 0 ? out.cbd : out.cbs);
+    }
+  }
+}
+
+LaneParams laneParams(const MosfetLaneState& st) {
+  return {st.vt.data(),
+          st.beta.data(),
+          st.w_eff.data(),
+          st.l_eff.data(),
+          st.l_gate.data(),
+          {st.jarea[0].data(), st.jarea[1].data()},
+          {st.jc0[0].data(), st.jc0[1].data()}};
+}
+
+/// Lane companion of one incremental Meyer/junction charge (the lane
+/// form of Mosfet::stampCap).
+void stampCapLanes(LaneStamper& stamper, const LaneContext& ctx, NodeId a, NodeId b,
+                   const double* c, const MosfetLaneState::CapLanes& state) {
+  const double* va = ctx.v(a);
+  const double* vb = ctx.v(b);
+  const double k_g = (ctx.method == IntegrationMethod::Trapezoidal ? 2.0 : 1.0) / ctx.dt;
+  const double tr = ctx.method == IntegrationMethod::Trapezoidal ? 1.0 : 0.0;
+  double geq[kMaxLanes] = {}, ieq[kMaxLanes] = {};
+  for (size_t l = 0; l < ctx.lanes; ++l) {
+    const double v = va[l] - vb[l];
+    const double dq = c[l] * (v - state.v_prev[l]);  // q - hist.q
+    const double g_eq = k_g * c[l];
+    const double i_now = k_g * dq - tr * state.i[l];
+    geq[l] = g_eq;
+    ieq[l] = i_now - g_eq * v;
+  }
+  stamper.conductance(a, b, geq);
+  stamper.currentSource(a, b, ieq);
+}
+
+/// Commits one lane charge history (the lane form of Mosfet::acceptCap).
+void acceptCapLanes(const LaneContext& ctx, NodeId a, NodeId b, const double* c,
+                    MosfetLaneState::CapLanes& state) {
+  const double* va = ctx.v(a);
+  const double* vb = ctx.v(b);
+  const double k_g = (ctx.method == IntegrationMethod::Trapezoidal ? 2.0 : 1.0) / ctx.dt;
+  const double tr = ctx.method == IntegrationMethod::Trapezoidal ? 1.0 : 0.0;
+#pragma omp simd
+  for (size_t l = 0; l < ctx.lanes; ++l) {
+    const double v = va[l] - vb[l];
+    const double dq = c[l] * (v - state.v_prev[l]);
+    state.i[l] = k_g * dq - tr * state.i[l];
+    state.q[l] += dq;
+    state.v_prev[l] = v;
+  }
+}
+
 }  // namespace
 
 Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source, NodeId bulk,
@@ -68,21 +282,13 @@ double Mosfet::drainCurrent(const EvalContext& ctx) const { return evalDc(ctx).i
 
 double Mosfet::junctionArea(bool drain) const {
   double& cached = junction_area_[drain ? 0 : 1];
-  if (cached < 0.0) {
-    const double configured = drain ? geometry_.area_d : geometry_.area_s;
-    // Default diffusion: 2.5 gate lengths long.
-    cached = configured > 0.0 ? configured : geometry_.effW() * 2.5 * geometry_.l;
-  }
+  if (cached < 0.0) cached = junctionAreaOf(geometry_, drain);
   return cached;
 }
 
 double Mosfet::junctionC0(bool drain) const {
   double& cached = junction_c0_[drain ? 0 : 1];
-  if (cached < 0.0) {
-    const double area = junctionArea(drain);
-    // Area plus sidewall perimeter term (square-diffusion estimate).
-    cached = card_->cj * area + card_->cjsw * 2.0 * (std::sqrt(area) * 2.0);
-  }
+  if (cached < 0.0) cached = junctionC0Of(*card_, junctionArea(drain));
   return cached;
 }
 
@@ -109,7 +315,7 @@ Mosfet::MeyerCaps Mosfet::meyerCaps(const EvalContext& ctx) const {
   const double vs = s * (ctx.v(nodes_[kS]) - vb);
 
   const double w_eff = geometry_.effW();
-  const double l_eff = geometry_.l + geometry_.delta_l - 2.0 * m.dl;
+  const double l_eff = effL(m, geometry_);
   const double cox_area = m.cox() * w_eff * l_eff;
 
   // Smooth, polarity-symmetric Meyer partition. `sp` sweeps 0 (reverse
@@ -234,119 +440,37 @@ void Mosfet::stampDeviceBatch(std::span<Device* const> devs, std::span<const uin
   const size_t K = devs.size();
   // Every batch member shares card_ (the batch key), so polarity and
   // all card parameters are common; vt/beta/geometry vary per device.
-  // The math below is strictly elementwise — assembled values are
+  // The lane kernel is strictly elementwise — assembled values are
   // bit-identical for every batch width.
-  const double s = card_->sign();
-  const double ut = thermalVoltage(ctx.temperature);
-  const double n = card_->n_slope;
   const bool tran = ctx.method != IntegrationMethod::None;
 
   // --- gather device SoA (AoS state -> lanes across devices) ----------
   Mosfet* mos[kMaxLanes];
   double vt[kMaxLanes] = {}, beta[kMaxLanes] = {};
   double w_eff[kMaxLanes] = {}, l_eff[kMaxLanes] = {}, l_gate[kMaxLanes] = {};
+  double jarea[2][kMaxLanes] = {}, jc0[2][kMaxLanes] = {};
   double vd0[kMaxLanes] = {}, vg0[kMaxLanes] = {}, vs0[kMaxLanes] = {}, vb0[kMaxLanes] = {};
-  double vgn[kMaxLanes] = {}, vdn[kMaxLanes] = {}, vsn[kMaxLanes] = {};
   for (size_t l = 0; l < K; ++l) {
     mos[l] = static_cast<Mosfet*>(devs[l]);
     const MosOperating& op = mos[l]->operating(ctx.temperature);
+    const MosGeometry& g = mos[l]->geometry_;
     vt[l] = op.vt;
     beta[l] = op.beta;
-    w_eff[l] = mos[l]->geometry_.effW();
-    l_eff[l] = mos[l]->geometry_.l + mos[l]->geometry_.delta_l - 2.0 * card_->dl;
-    l_gate[l] = mos[l]->geometry_.l;
+    w_eff[l] = g.effW();
+    l_eff[l] = effL(*card_, g);
+    l_gate[l] = g.l;
+    for (int which = 0; which < 2; ++which) {
+      jarea[which][l] = mos[l]->junctionArea(which == 0);
+      jc0[which][l] = mos[l]->junctionC0(which == 0);
+    }
     vd0[l] = ctx.v(mos[l]->nodes_[kD]);
     vg0[l] = ctx.v(mos[l]->nodes_[kG]);
     vs0[l] = ctx.v(mos[l]->nodes_[kS]);
     vb0[l] = ctx.v(mos[l]->nodes_[kB]);
-    vgn[l] = s * (vg0[l] - vb0[l]);
-    vdn[l] = s * (vd0[l] - vb0[l]);
-    vsn[l] = s * (vs0[l] - vb0[l]);
   }
-
-  // --- DC channel current (SoA core + hand-derived Jacobian) ----------
-  double ids[kMaxLanes] = {}, gg[kMaxLanes] = {}, gd[kMaxLanes] = {}, gs[kMaxLanes] = {},
-      gb[kMaxLanes] = {};
-  mosCoreCurrentLanes(*card_, K, ut, n, vt, beta, vgn, vdn, vsn, ids, gg, gd, gs);
-  double i_const[kMaxLanes] = {};
-#pragma omp simd
-  for (size_t l = 0; l < K; ++l) {
-    ids[l] *= s;
-    gb[l] = -(gg[l] + gd[l] + gs[l]);
-    i_const[l] =
-        ids[l] - gg[l] * vg0[l] - gd[l] * vd0[l] - gs[l] * vs0[l] - gb[l] * vb0[l];
-  }
-
-  // --- Junction diodes (bulk-drain, bulk-source) ----------------------
-  double gj[2][kMaxLanes] = {}, j_rhs[2][kMaxLanes] = {};
-  {
-    double i_sat[kMaxLanes] = {}, v_ac[kMaxLanes] = {}, ij[kMaxLanes] = {};
-    for (int which = 0; which < 2; ++which) {
-      const double* vdiff = which == 0 ? vd0 : vs0;
-      for (size_t l = 0; l < K; ++l) {
-        i_sat[l] = card_->js * mos[l]->junctionArea(which == 0);
-        v_ac[l] = s * (vb0[l] - vdiff[l]);
-      }
-      junctionCurrentLanes(K, i_sat, card_->n_j, ut, v_ac, ij, gj[which]);
-      for (size_t l = 0; l < K; ++l) {
-        j_rhs[which][l] = s * ij[l] - gj[which][l] * (vb0[l] - vdiff[l]);
-      }
-    }
-  }
-
-  // --- Gate leakage (optional; card-wide switch) ----------------------
-  double g_gl[kMaxLanes] = {}, i_gl_rhs[kMaxLanes] = {};
-  if (card_->jg > 0.0) {
-    const double j_scale = card_->jg / std::sinh(2.0);
-#pragma omp simd
-    for (size_t l = 0; l < K; ++l) {
-      const double scale = j_scale * w_eff[l] * l_gate[l];
-      const double vgb = vg0[l] - vb0[l];
-      const double e = fastExp(2.0 * vgb);
-      const double ei = 1.0 / e;
-      g_gl[l] = scale * (e + ei);
-      i_gl_rhs[l] = scale * 0.5 * (e - ei) - g_gl[l] * vgb;
-    }
-  }
-
-  // --- Capacitances (Meyer partition + junction depletion) ------------
-  double cgs[kMaxLanes] = {}, cgd[kMaxLanes] = {}, cgb[kMaxLanes] = {};
-  double cbd[kMaxLanes] = {}, cbs[kMaxLanes] = {};
-  if (tran) {
-    const MosModelCard& m = *card_;
-    const double cox = m.cox();
-    const double k_soft = 2.0 * n * ut;
-    const double inv_k = 1.0 / k_soft;
-    const double inv_2ut = 1.0 / (2.0 * ut);
-#pragma omp simd
-    for (size_t l = 0; l < K; ++l) {
-      const double cox_area = cox * w_eff[l] * l_eff[l];
-      const double v_min =
-          -k_soft * fastLog(fastExp(-vdn[l] * inv_k) + fastExp(-vsn[l] * inv_k));
-      const double vp = (vgn[l] - vt[l]) / n;
-      const double x_inv = fastSigmoid((vp - v_min) * inv_2ut);
-      const double vgt = std::max(n * (vp - v_min), 0.0);
-      const double vdsat = std::max(vgt / n, 4.0 * ut);
-      const double sp = 0.5 * (1.0 + fastTanh((vdn[l] - vsn[l]) / vdsat));
-      const double sp_m = 1.0 - sp;
-      const double meyer_s = (-2.0 / 3.0) * sp * sp + (4.0 / 3.0) * sp;
-      const double meyer_d = (-2.0 / 3.0) * sp_m * sp_m + (4.0 / 3.0) * sp_m;
-      cgs[l] = cox_area * x_inv * meyer_s + m.cgso * w_eff[l];
-      cgd[l] = cox_area * x_inv * meyer_d + m.cgdo * w_eff[l];
-      cgb[l] = cox_area * (1.0 - x_inv) * 0.7 + m.cgbo * l_eff[l];
-    }
-    double vj[kMaxLanes] = {}, jc0[kMaxLanes] = {};
-    for (size_t l = 0; l < K; ++l) {
-      vj[l] = s * (vb0[l] - vd0[l]);
-      jc0[l] = mos[l]->junctionC0(true);
-    }
-    junctionCapLanes(K, vj, jc0, cbd);
-    for (size_t l = 0; l < K; ++l) {
-      vj[l] = s * (vb0[l] - vs0[l]);
-      jc0[l] = mos[l]->junctionC0(false);
-    }
-    junctionCapLanes(K, vj, jc0, cbs);
-  }
+  const LaneParams params{vt, beta, w_eff, l_eff, l_gate, {jarea[0], jarea[1]}, {jc0[0], jc0[1]}};
+  LaneEval ev{};
+  evalLanes(*card_, K, ctx.temperature, params, {vd0, vg0, vs0, vb0}, /*dc=*/true, tran, ev);
 
   // --- per-device emission, mirroring stamp()'s exact call order ------
   for (size_t l = 0; l < K; ++l) {
@@ -362,29 +486,29 @@ void Mosfet::stampDeviceBatch(std::span<Device* const> devs, std::span<const uin
     const int ib = stamper.nodeIndex(b);
     const auto stamp_row = [&](int row, double sign) {
       if (row < 0) return;
-      if (ig >= 0) stamper.addMatrix(row, ig, sign * gg[l]);
-      if (id >= 0) stamper.addMatrix(row, id, sign * gd[l]);
-      if (is >= 0) stamper.addMatrix(row, is, sign * gs[l]);
-      if (ib >= 0) stamper.addMatrix(row, ib, sign * gb[l]);
+      if (ig >= 0) stamper.addMatrix(row, ig, sign * ev.gg[l]);
+      if (id >= 0) stamper.addMatrix(row, id, sign * ev.gd[l]);
+      if (is >= 0) stamper.addMatrix(row, is, sign * ev.gs[l]);
+      if (ib >= 0) stamper.addMatrix(row, ib, sign * ev.gb[l]);
     };
     stamp_row(id, 1.0);
     stamp_row(is, -1.0);
-    stamper.currentSource(d, s_node, i_const[l]);
+    stamper.currentSource(d, s_node, ev.i_const[l]);
     for (int which = 0; which < 2; ++which) {
       const NodeId diff = which == 0 ? d : s_node;
-      stamper.conductance(b, diff, gj[which][l]);
-      stamper.currentSource(b, diff, j_rhs[which][l]);
+      stamper.conductance(b, diff, ev.gj[which][l]);
+      stamper.currentSource(b, diff, ev.j_rhs[which][l]);
     }
     if (card_->jg > 0.0) {
-      stamper.conductance(g, b, g_gl[l]);
-      stamper.currentSource(g, b, i_gl_rhs[l]);
+      stamper.conductance(g, b, ev.g_gl[l]);
+      stamper.currentSource(g, b, ev.i_gl[l]);
     }
     if (tran) {
-      dev.stampCap(stamper, ctx, g, s_node, cgs[l], dev.cap_gs_);
-      dev.stampCap(stamper, ctx, g, d, cgd[l], dev.cap_gd_);
-      dev.stampCap(stamper, ctx, g, b, cgb[l], dev.cap_gb_);
-      dev.stampCap(stamper, ctx, b, d, cbd[l], dev.cap_bd_);
-      dev.stampCap(stamper, ctx, b, s_node, cbs[l], dev.cap_bs_);
+      dev.stampCap(stamper, ctx, g, s_node, ev.cgs[l], dev.cap_gs_);
+      dev.stampCap(stamper, ctx, g, d, ev.cgd[l], dev.cap_gd_);
+      dev.stampCap(stamper, ctx, g, b, ev.cgb[l], dev.cap_gb_);
+      dev.stampCap(stamper, ctx, b, d, ev.cbd[l], dev.cap_bd_);
+      dev.stampCap(stamper, ctx, b, s_node, ev.cbs[l], dev.cap_bs_);
     }
     if (stamper.cursor() != op_end[l]) {
       throw Error("Mosfet '" + dev.name() +
@@ -463,9 +587,11 @@ void Mosfet::acceptStep(const EvalContext& ctx) {
 MosfetLaneState::MosfetLaneState(const MosGeometry& base, size_t lane_count)
     : lanes(lane_count), geom(lane_count, base), vt(lane_count, 0.0),
       beta(lane_count, 0.0), w_eff(lane_count, 0.0), l_eff(lane_count, 0.0),
-      jarea_d(lane_count, 0.0), jarea_s(lane_count, 0.0), jc0_d(lane_count, 0.0),
-      jc0_s(lane_count, 0.0), cap_gs(lane_count), cap_gd(lane_count),
-      cap_gb(lane_count), cap_bd(lane_count), cap_bs(lane_count) {}
+      l_gate(lane_count, 0.0),
+      jarea{std::vector<double>(lane_count, 0.0), std::vector<double>(lane_count, 0.0)},
+      jc0{std::vector<double>(lane_count, 0.0), std::vector<double>(lane_count, 0.0)},
+      cap_gs(lane_count), cap_gd(lane_count), cap_gb(lane_count), cap_bd(lane_count),
+      cap_bs(lane_count) {}
 
 std::unique_ptr<DeviceLaneState> Mosfet::createLaneState(size_t lanes) const {
   return std::make_unique<MosfetLaneState>(geometry_, lanes);
@@ -479,211 +605,61 @@ void Mosfet::resolveLaneDerived(MosfetLaneState& s, double temperature) const {
     s.vt[l] = op.vt;
     s.beta[l] = op.beta;
     s.w_eff[l] = g.effW();
-    s.l_eff[l] = g.l + g.delta_l - 2.0 * card_->dl;
-    const double area_d = g.area_d > 0.0 ? g.area_d : g.effW() * 2.5 * g.l;
-    const double area_s = g.area_s > 0.0 ? g.area_s : g.effW() * 2.5 * g.l;
-    s.jarea_d[l] = area_d;
-    s.jarea_s[l] = area_s;
-    s.jc0_d[l] = card_->cj * area_d + card_->cjsw * 2.0 * (std::sqrt(area_d) * 2.0);
-    s.jc0_s[l] = card_->cj * area_s + card_->cjsw * 2.0 * (std::sqrt(area_s) * 2.0);
+    s.l_eff[l] = effL(*card_, g);
+    s.l_gate[l] = g.l;
+    for (int which = 0; which < 2; ++which) {
+      s.jarea[which][l] = junctionAreaOf(g, which == 0);
+      s.jc0[which][l] = junctionC0Of(*card_, s.jarea[which][l]);
+    }
   }
   s.derived_valid = true;
   s.temperature = temperature;
 }
 
-void Mosfet::meyerCapsLanes(const MosfetLaneState& st, const LaneContext& ctx, double* cgs,
-                            double* cgd, double* cgb) const {
-  const double s = card_->sign();
-  const MosModelCard& m = *card_;
-  const double ut = thermalVoltage(ctx.temperature);
-  const double n = m.n_slope;
-  const double cox = m.cox();
-  const double k_soft = 2.0 * n * ut;
-  const double inv_k = 1.0 / k_soft;
-  const double inv_2ut = 1.0 / (2.0 * ut);
-  const double* vdl = ctx.v(nodes_[kD]);
-  const double* vgl = ctx.v(nodes_[kG]);
-  const double* vsl = ctx.v(nodes_[kS]);
-  const double* vbl = ctx.v(nodes_[kB]);
-#pragma omp simd
-  for (size_t l = 0; l < ctx.lanes; ++l) {
-    const double vb = vbl[l];
-    const double vg = s * (vgl[l] - vb);
-    const double vd = s * (vdl[l] - vb);
-    const double vs = s * (vsl[l] - vb);
-    const double cox_area = cox * st.w_eff[l] * st.l_eff[l];
-    const double v_min =
-        -k_soft * fastLog(fastExp(-vd * inv_k) + fastExp(-vs * inv_k));
-    const double vp = (vg - st.vt[l]) / n;
-    const double x_inv = fastSigmoid((vp - v_min) * inv_2ut);
-    const double vgt = std::max(n * (vp - v_min), 0.0);
-    const double vdsat = std::max(vgt / n, 4.0 * ut);
-    const double sp = 0.5 * (1.0 + fastTanh((vd - vs) / vdsat));
-    const double sp_m = 1.0 - sp;
-    const double meyer_s = (-2.0 / 3.0) * sp * sp + (4.0 / 3.0) * sp;
-    const double meyer_d = (-2.0 / 3.0) * sp_m * sp_m + (4.0 / 3.0) * sp_m;
-    cgs[l] = cox_area * x_inv * meyer_s + m.cgso * st.w_eff[l];
-    cgd[l] = cox_area * x_inv * meyer_d + m.cgdo * st.w_eff[l];
-    cgb[l] = cox_area * (1.0 - x_inv) * 0.7 + m.cgbo * st.l_eff[l];
-  }
-}
-
-void Mosfet::junctionCapLanes(size_t lanes, const double* v, const double* c0,
-                              double* c) const {
-  const MosModelCard& m = *card_;
-  const double v_knee = m.fc * m.pb;
-  const double k_knee = std::pow(1.0 - m.fc, -m.mj);
-  const double k_slope = k_knee * m.mj / (m.pb * (1.0 - m.fc));
-  const double inv_pb = 1.0 / m.pb;
-#pragma omp simd
-  for (size_t l = 0; l < lanes; ++l) {
-    // Clamp the depletion argument: lanes above the knee take the linear
-    // branch, so the clamped value only keeps the dead computation finite.
-    const double arg = std::max(1.0 - v[l] * inv_pb, 1e-9);
-    const double c_dep = c0[l] * fastExp(-m.mj * fastLog(arg));
-    const double c_lin = c0[l] * (k_knee + k_slope * (v[l] - v_knee));
-    c[l] = v[l] < v_knee ? c_dep : c_lin;
-  }
-}
-
-void Mosfet::stampCapLanes(LaneStamper& stamper, const LaneContext& ctx, NodeId a, NodeId b,
-                           const double* c, MosfetLaneState::CapLanes& state) const {
-  if (ctx.method == IntegrationMethod::None) return;
-  const double* va = ctx.v(a);
-  const double* vb = ctx.v(b);
-  const double k_g = (ctx.method == IntegrationMethod::Trapezoidal ? 2.0 : 1.0) / ctx.dt;
-  const double tr = ctx.method == IntegrationMethod::Trapezoidal ? 1.0 : 0.0;
-  double geq[kMaxLanes] = {}, ieq[kMaxLanes] = {};
-  for (size_t l = 0; l < ctx.lanes; ++l) {
-    const double v = va[l] - vb[l];
-    const double dq = c[l] * (v - state.v_prev[l]);  // q - hist.q
-    const double g_eq = k_g * c[l];
-    const double i_now = k_g * dq - tr * state.i[l];
-    geq[l] = g_eq;
-    ieq[l] = i_now - g_eq * v;
-  }
-  stamper.conductance(a, b, geq);
-  stamper.currentSource(a, b, ieq);
-}
-
-void Mosfet::acceptCapLanes(const LaneContext& ctx, NodeId a, NodeId b, const double* c,
-                            MosfetLaneState::CapLanes& state) const {
-  const double* va = ctx.v(a);
-  const double* vb = ctx.v(b);
-  const double k_g = (ctx.method == IntegrationMethod::Trapezoidal ? 2.0 : 1.0) / ctx.dt;
-  const double tr = ctx.method == IntegrationMethod::Trapezoidal ? 1.0 : 0.0;
-#pragma omp simd
-  for (size_t l = 0; l < ctx.lanes; ++l) {
-    const double v = va[l] - vb[l];
-    const double dq = c[l] * (v - state.v_prev[l]);
-    state.i[l] = k_g * dq - tr * state.i[l];
-    state.q[l] += dq;
-    state.v_prev[l] = v;
-  }
-}
-
 void Mosfet::stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                         DeviceLaneState* state) {
   auto& st = static_cast<MosfetLaneState&>(*state);
-  const size_t K = ctx.lanes;
   resolveLaneDerived(st, ctx.temperature);
-  const double s = card_->sign();
-  const double ut = thermalVoltage(ctx.temperature);
-  const double n = card_->n_slope;
-
   const NodeId d = nodes_[kD];
   const NodeId g = nodes_[kG];
   const NodeId s_node = nodes_[kS];
   const NodeId b = nodes_[kB];
-  const double* vd0 = ctx.v(d);
-  const double* vg0 = ctx.v(g);
-  const double* vs0 = ctx.v(s_node);
-  const double* vb0 = ctx.v(b);
+  const bool tran = ctx.method != IntegrationMethod::None;
+  LaneEval ev{};
+  evalLanes(*card_, ctx.lanes, ctx.temperature, laneParams(st),
+            {ctx.v(d), ctx.v(g), ctx.v(s_node), ctx.v(b)}, /*dc=*/true, tran, ev);
 
-  // --- DC channel current (SoA core + hand-derived Jacobian) ----------
-  double vgn[kMaxLanes] = {}, vdn[kMaxLanes] = {}, vsn[kMaxLanes] = {};
-#pragma omp simd
-  for (size_t l = 0; l < K; ++l) {
-    vgn[l] = s * (vg0[l] - vb0[l]);
-    vdn[l] = s * (vd0[l] - vb0[l]);
-    vsn[l] = s * (vs0[l] - vb0[l]);
-  }
-  double ids[kMaxLanes] = {}, gg[kMaxLanes] = {}, gd[kMaxLanes] = {}, gs[kMaxLanes] = {}, gb[kMaxLanes] = {};
-  mosCoreCurrentLanes(*card_, K, ut, n, st.vt.data(), st.beta.data(), vgn, vdn, vsn, ids,
-                      gg, gd, gs);
-  double i_const[kMaxLanes] = {};
-#pragma omp simd
-  for (size_t l = 0; l < K; ++l) {
-    ids[l] *= s;
-    gb[l] = -(gg[l] + gd[l] + gs[l]);
-    i_const[l] =
-        ids[l] - gg[l] * vg0[l] - gd[l] * vd0[l] - gs[l] * vs0[l] - gb[l] * vb0[l];
-  }
+  // --- lane emission, mirroring stamp()'s exact call order ------------
   const int id = stamper.nodeIndex(d);
   const int ig = stamper.nodeIndex(g);
   const int is = stamper.nodeIndex(s_node);
   const int ib = stamper.nodeIndex(b);
   auto stamp_row = [&](int row, double sign) {
     if (row < 0) return;
-    if (ig >= 0) stamper.addMatrix(row, ig, gg, sign);
-    if (id >= 0) stamper.addMatrix(row, id, gd, sign);
-    if (is >= 0) stamper.addMatrix(row, is, gs, sign);
-    if (ib >= 0) stamper.addMatrix(row, ib, gb, sign);
+    if (ig >= 0) stamper.addMatrix(row, ig, ev.gg, sign);
+    if (id >= 0) stamper.addMatrix(row, id, ev.gd, sign);
+    if (is >= 0) stamper.addMatrix(row, is, ev.gs, sign);
+    if (ib >= 0) stamper.addMatrix(row, ib, ev.gb, sign);
   };
   stamp_row(id, 1.0);
   stamp_row(is, -1.0);
-  stamper.currentSource(d, s_node, i_const);
-
-  // --- Junction diodes (bulk-drain, bulk-source) ----------------------
-  double v_ac[kMaxLanes] = {}, i_sat[kMaxLanes] = {}, ij[kMaxLanes] = {}, gj[kMaxLanes] = {},
-      i_rhs[kMaxLanes] = {};
+  stamper.currentSource(d, s_node, ev.i_const);
   for (int which = 0; which < 2; ++which) {
     const NodeId diff = which == 0 ? d : s_node;
-    const double* vdiff = which == 0 ? vd0 : vs0;
-    const double* area = which == 0 ? st.jarea_d.data() : st.jarea_s.data();
-    for (size_t l = 0; l < K; ++l) {
-      i_sat[l] = card_->js * area[l];
-      v_ac[l] = s * (vb0[l] - vdiff[l]);
-    }
-    junctionCurrentLanes(K, i_sat, card_->n_j, ut, v_ac, ij, gj);
-    for (size_t l = 0; l < K; ++l) {
-      i_rhs[l] = s * ij[l] - gj[l] * (vb0[l] - vdiff[l]);
-    }
-    stamper.conductance(b, diff, gj);
-    stamper.currentSource(b, diff, i_rhs);
+    stamper.conductance(b, diff, ev.gj[which]);
+    stamper.currentSource(b, diff, ev.j_rhs[which]);
   }
-
-  // --- Gate leakage (optional; constant per topology, tape-safe) ------
+  // Gate leakage is a card-wide switch: constant per topology, tape-safe.
   if (card_->jg > 0.0) {
-    double i_gl[kMaxLanes] = {}, g_gl[kMaxLanes] = {};
-    const double j_scale = card_->jg / std::sinh(2.0);
-#pragma omp simd
-    for (size_t l = 0; l < K; ++l) {
-      const double scale = j_scale * st.geom[l].effW() * st.geom[l].l;
-      const double vgb = vg0[l] - vb0[l];
-      const double e = fastExp(2.0 * vgb);
-      const double ei = 1.0 / e;
-      g_gl[l] = scale * (e + ei);                      // scale * 2 cosh(2 vgb)
-      i_gl[l] = scale * 0.5 * (e - ei) - g_gl[l] * vgb;  // sinh term minus g*v
-    }
-    stamper.conductance(g, b, g_gl);
-    stamper.currentSource(g, b, i_gl);
+    stamper.conductance(g, b, ev.g_gl);
+    stamper.currentSource(g, b, ev.i_gl);
   }
-
-  // --- Capacitances ----------------------------------------------------
-  if (ctx.method != IntegrationMethod::None) {
-    double cgs[kMaxLanes] = {}, cgd[kMaxLanes] = {}, cgb[kMaxLanes] = {};
-    meyerCapsLanes(st, ctx, cgs, cgd, cgb);
-    stampCapLanes(stamper, ctx, g, s_node, cgs, st.cap_gs);
-    stampCapLanes(stamper, ctx, g, d, cgd, st.cap_gd);
-    stampCapLanes(stamper, ctx, g, b, cgb, st.cap_gb);
-    double vj[kMaxLanes] = {}, cbd[kMaxLanes] = {}, cbs[kMaxLanes] = {};
-    for (size_t l = 0; l < K; ++l) vj[l] = s * (vb0[l] - vd0[l]);
-    junctionCapLanes(K, vj, st.jc0_d.data(), cbd);
-    for (size_t l = 0; l < K; ++l) vj[l] = s * (vb0[l] - vs0[l]);
-    junctionCapLanes(K, vj, st.jc0_s.data(), cbs);
-    stampCapLanes(stamper, ctx, b, d, cbd, st.cap_bd);
-    stampCapLanes(stamper, ctx, b, s_node, cbs, st.cap_bs);
+  if (tran) {
+    stampCapLanes(stamper, ctx, g, s_node, ev.cgs, st.cap_gs);
+    stampCapLanes(stamper, ctx, g, d, ev.cgd, st.cap_gd);
+    stampCapLanes(stamper, ctx, g, b, ev.cgb, st.cap_gb);
+    stampCapLanes(stamper, ctx, b, d, ev.cbd, st.cap_bd);
+    stampCapLanes(stamper, ctx, b, s_node, ev.cbs, st.cap_bs);
   }
 }
 
@@ -708,22 +684,18 @@ void Mosfet::startTransientLanes(const LaneContext& ctx, DeviceLaneState* state)
 void Mosfet::acceptStepLanes(const LaneContext& ctx, DeviceLaneState* state) {
   auto& st = static_cast<MosfetLaneState&>(*state);
   resolveLaneDerived(st, ctx.temperature);
-  const double s = card_->sign();
-  double cgs[kMaxLanes] = {}, cgd[kMaxLanes] = {}, cgb[kMaxLanes] = {};
-  meyerCapsLanes(st, ctx, cgs, cgd, cgb);
-  acceptCapLanes(ctx, nodes_[kG], nodes_[kS], cgs, st.cap_gs);
-  acceptCapLanes(ctx, nodes_[kG], nodes_[kD], cgd, st.cap_gd);
-  acceptCapLanes(ctx, nodes_[kG], nodes_[kB], cgb, st.cap_gb);
-  double vj[kMaxLanes] = {}, cbd[kMaxLanes] = {}, cbs[kMaxLanes] = {};
-  const double* vbl = ctx.v(nodes_[kB]);
-  const double* vdl = ctx.v(nodes_[kD]);
-  const double* vsl = ctx.v(nodes_[kS]);
-  for (size_t l = 0; l < ctx.lanes; ++l) vj[l] = s * (vbl[l] - vdl[l]);
-  junctionCapLanes(ctx.lanes, vj, st.jc0_d.data(), cbd);
-  for (size_t l = 0; l < ctx.lanes; ++l) vj[l] = s * (vbl[l] - vsl[l]);
-  junctionCapLanes(ctx.lanes, vj, st.jc0_s.data(), cbs);
-  acceptCapLanes(ctx, nodes_[kB], nodes_[kD], cbd, st.cap_bd);
-  acceptCapLanes(ctx, nodes_[kB], nodes_[kS], cbs, st.cap_bs);
+  const NodeId d = nodes_[kD];
+  const NodeId g = nodes_[kG];
+  const NodeId s_node = nodes_[kS];
+  const NodeId b = nodes_[kB];
+  LaneEval ev{};
+  evalLanes(*card_, ctx.lanes, ctx.temperature, laneParams(st),
+            {ctx.v(d), ctx.v(g), ctx.v(s_node), ctx.v(b)}, /*dc=*/false, /*caps=*/true, ev);
+  acceptCapLanes(ctx, g, s_node, ev.cgs, st.cap_gs);
+  acceptCapLanes(ctx, g, d, ev.cgd, st.cap_gd);
+  acceptCapLanes(ctx, g, b, ev.cgb, st.cap_gb);
+  acceptCapLanes(ctx, b, d, ev.cbd, st.cap_bd);
+  acceptCapLanes(ctx, b, s_node, ev.cbs, st.cap_bs);
 }
 
 double Mosfet::terminalCurrent(size_t t, const EvalContext& ctx) const {

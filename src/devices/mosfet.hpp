@@ -34,8 +34,9 @@ struct MosfetLaneState : DeviceLaneState {
   double temperature = -1.0;
   std::vector<double> vt, beta;          // core variation (SoA)
   std::vector<double> w_eff, l_eff;      // caps / gate leakage
-  std::vector<double> jarea_d, jarea_s;  // junction areas [m^2]
-  std::vector<double> jc0_d, jc0_s;      // junction cap prefactors [F]
+  std::vector<double> l_gate;            // drawn gate length (gate leakage)
+  std::vector<double> jarea[2];          // [drain, source] junction areas [m^2]
+  std::vector<double> jc0[2];            // [drain, source] junction cap prefactors [F]
 
   struct CapLanes {
     std::vector<double> q, i, v_prev;
@@ -60,7 +61,6 @@ class Mosfet : public Device {
                         const EvalContext& ctx) override;
   void startTransient(const EvalContext& ctx) override;
   void acceptStep(const EvalContext& ctx) override;
-  bool supportsLanes() const override { return true; }
   std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const override;
   void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                   DeviceLaneState* state) override;
@@ -129,18 +129,9 @@ class Mosfet : public Device {
                 CapState& state);
   void acceptCap(const EvalContext& ctx, NodeId a, NodeId b, double c, CapState& state);
 
-  // --- lane-batched (ensemble) helpers -------------------------------
+  /// Resolves the per-lane operating points and junction terms of `s`
+  /// (once per geometry install and temperature).
   void resolveLaneDerived(MosfetLaneState& s, double temperature) const;
-  /// Meyer caps for all lanes (outputs are double[lanes] scratch).
-  void meyerCapsLanes(const MosfetLaneState& s, const LaneContext& ctx, double* cgs,
-                      double* cgd, double* cgb) const;
-  /// Depletion cap for all lanes (same knee linearization as
-  /// junctionCap, evaluated branch-free).
-  void junctionCapLanes(size_t lanes, const double* v, const double* c0, double* c) const;
-  void stampCapLanes(LaneStamper& stamper, const LaneContext& ctx, NodeId a, NodeId b,
-                     const double* c, MosfetLaneState::CapLanes& state) const;
-  void acceptCapLanes(const LaneContext& ctx, NodeId a, NodeId b, const double* c,
-                      MosfetLaneState::CapLanes& state) const;
 
   std::array<NodeId, 4> nodes_;  // d, g, s, b
   std::shared_ptr<const MosModelCard> card_;

@@ -192,6 +192,54 @@ void Inductor::acceptStep(const EvalContext& ctx) {
   v_prev_ = ctx.v(a_) - ctx.v(b_);
 }
 
+std::unique_ptr<DeviceLaneState> Inductor::createLaneState(size_t lanes) const {
+  return std::make_unique<InductorLaneState>(lanes);
+}
+
+void Inductor::stampLanes(LaneStamper& stamper, const LaneContext& ctx,
+                          DeviceLaneState* state) {
+  // Same stamp sequence as stamp(); only the history term varies by lane.
+  const int row = static_cast<int>(branch_);
+  const int ia = stamper.nodeIndex(a_);
+  const int ib = stamper.nodeIndex(b_);
+  if (ia >= 0) {
+    stamper.addMatrixUniform(ia, row, 1.0);
+    stamper.addMatrixUniform(row, ia, 1.0);
+  }
+  if (ib >= 0) {
+    stamper.addMatrixUniform(ib, row, -1.0);
+    stamper.addMatrixUniform(row, ib, -1.0);
+  }
+  if (ctx.method == IntegrationMethod::None) {
+    stamper.addMatrixUniform(row, row, -1e-9);
+    return;
+  }
+  const auto& st = static_cast<const InductorLaneState&>(*state);
+  const bool trap = ctx.method == IntegrationMethod::Trapezoidal;
+  const double req = (trap ? 2.0 * inductance_ : inductance_) / ctx.dt;
+  double rhs[kMaxLanes] = {};
+  for (size_t l = 0; l < ctx.lanes; ++l) {
+    rhs[l] = trap ? -req * st.i_prev[l] - st.v_prev[l] : -req * st.i_prev[l];
+  }
+  stamper.addMatrixUniform(row, row, -req);
+  stamper.addRhs(row, rhs);
+}
+
+void Inductor::startTransientLanes(const LaneContext& ctx, DeviceLaneState* state) {
+  acceptStepLanes(ctx, state);
+}
+
+void Inductor::acceptStepLanes(const LaneContext& ctx, DeviceLaneState* state) {
+  auto& st = static_cast<InductorLaneState&>(*state);
+  const double* i = ctx.branch(branch_);
+  const double* va = ctx.v(a_);
+  const double* vb = ctx.v(b_);
+  for (size_t l = 0; l < ctx.lanes; ++l) {
+    st.i_prev[l] = i[l];
+    st.v_prev[l] = va[l] - vb[l];
+  }
+}
+
 void Inductor::stampReactive(ReactiveStamper& stamper, const EvalContext&) {
   stamper.branchInductance(branch_, inductance_);
 }

@@ -21,12 +21,18 @@ struct CapacitorLaneState : DeviceLaneState {
   std::vector<double> q, i, cap;
 };
 
+/// Per-lane branch-current and voltage history of an inductor.
+struct InductorLaneState : DeviceLaneState {
+  explicit InductorLaneState(size_t n) : i_prev(n, 0.0), v_prev(n, 0.0) {}
+
+  std::vector<double> i_prev, v_prev;
+};
+
 class Resistor : public Device {
  public:
   Resistor(std::string name, NodeId a, NodeId b, double resistance);
 
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
-  bool supportsLanes() const override { return true; }
   void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                   DeviceLaneState* state) override;
   void collectNoiseSources(std::vector<NoiseSource>& sources,
@@ -52,7 +58,6 @@ class Capacitor : public Device {
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
   void startTransient(const EvalContext& ctx) override;
   void acceptStep(const EvalContext& ctx) override;
-  bool supportsLanes() const override { return true; }
   std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const override;
   void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                   DeviceLaneState* state) override;
@@ -87,9 +92,11 @@ class Inductor : public Device {
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
   void startTransient(const EvalContext& ctx) override;
   void acceptStep(const EvalContext& ctx) override;
-  /// Branch current / voltage history is shared scalar state, so the
-  /// per-lane fallback would leak one lane's history into the next.
-  bool laneFallbackSafe() const override { return false; }
+  std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const override;
+  void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
+                  DeviceLaneState* state) override;
+  void startTransientLanes(const LaneContext& ctx, DeviceLaneState* state) override;
+  void acceptStepLanes(const LaneContext& ctx, DeviceLaneState* state) override;
   void stampReactive(ReactiveStamper& stamper, const EvalContext& ctx) override;
   size_t terminalCount() const override { return 2; }
   NodeId terminalNode(size_t t) const override { return t == 0 ? a_ : b_; }

@@ -129,6 +129,15 @@ void Vcvs::stamp(Stamper& stamper, const EvalContext&) {
   if (icm >= 0) stamper.addMatrix(row, icm, gain_);
 }
 
+void Vcvs::stampLanes(LaneStamper& stamper, const LaneContext&, DeviceLaneState*) {
+  stamper.voltageBranchUniform(branch_, plus_, minus_, 0.0);
+  const int row = static_cast<int>(branch_);
+  const int icp = stamper.nodeIndex(cp_);
+  const int icm = stamper.nodeIndex(cm_);
+  if (icp >= 0) stamper.addMatrixUniform(row, icp, -gain_);
+  if (icm >= 0) stamper.addMatrixUniform(row, icm, gain_);
+}
+
 NodeId Vcvs::terminalNode(size_t t) const {
   switch (t) {
     case 0: return plus_;
@@ -151,6 +160,18 @@ Vccs::Vccs(std::string name, NodeId plus, NodeId minus, NodeId ctrl_plus, NodeId
 
 void Vccs::stamp(Stamper& stamper, const EvalContext&) {
   stamper.transconductance(plus_, minus_, cp_, cm_, gm_);
+}
+
+void Vccs::stampLanes(LaneStamper& stamper, const LaneContext&, DeviceLaneState*) {
+  // The entries of Stamper::transconductance, lane-invariant.
+  const int ia = stamper.nodeIndex(plus_);
+  const int ib = stamper.nodeIndex(minus_);
+  const int ic = stamper.nodeIndex(cp_);
+  const int id = stamper.nodeIndex(cm_);
+  if (ia >= 0 && ic >= 0) stamper.addMatrixUniform(ia, ic, gm_);
+  if (ia >= 0 && id >= 0) stamper.addMatrixUniform(ia, id, -gm_);
+  if (ib >= 0 && ic >= 0) stamper.addMatrixUniform(ib, ic, -gm_);
+  if (ib >= 0 && id >= 0) stamper.addMatrixUniform(ib, id, gm_);
 }
 
 NodeId Vccs::terminalNode(size_t t) const {

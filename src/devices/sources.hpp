@@ -37,7 +37,6 @@ class VoltageSource : public Device {
   size_t branchCount() const override { return 1; }
   void assignBranches(size_t first_index) override { branch_ = first_index; }
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
-  bool supportsLanes() const override { return true; }
   std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const override;
   void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                   DeviceLaneState* state) override;
@@ -78,7 +77,6 @@ class CurrentSource : public Device {
   CurrentSource(std::string name, NodeId plus, NodeId minus, double dc_value);
 
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
-  bool supportsLanes() const override { return true; }
   std::unique_ptr<DeviceLaneState> createLaneState(size_t lanes) const override;
   void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                   DeviceLaneState* state) override;
@@ -106,6 +104,8 @@ class Vcvs : public Device {
   size_t branchCount() const override { return 1; }
   void assignBranches(size_t first_index) override { branch_ = first_index; }
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
+  void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
+                  DeviceLaneState* state) override;
   size_t terminalCount() const override { return 4; }
   NodeId terminalNode(size_t t) const override;
   double terminalCurrent(size_t t, const EvalContext& ctx) const override;
@@ -125,6 +125,8 @@ class Vccs : public Device {
   Vccs(std::string name, NodeId plus, NodeId minus, NodeId ctrl_plus, NodeId ctrl_minus, double gm);
 
   void stamp(Stamper& stamper, const EvalContext& ctx) override;
+  void stampLanes(LaneStamper& stamper, const LaneContext& ctx,
+                  DeviceLaneState* state) override;
   size_t terminalCount() const override { return 4; }
   NodeId terminalNode(size_t t) const override;
   double terminalCurrent(size_t t, const EvalContext& ctx) const override;

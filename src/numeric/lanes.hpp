@@ -7,9 +7,9 @@
 // fastExp/fastLog are Cephes-style double-precision kernels (Pade /
 // rational polynomial plus exponent bit manipulation) accurate to a few
 // ulp over the ranges the device models use. They exist because libm's
-// exp/log dominate the scalar Newton profile and their library entry
-// points defeat vectorization; the scalar simulation path keeps
-// std::exp / std::log and stays the reference.
+// exp/log are opaque library calls, which block vectorization of the
+// lane loops; the scalar simulation path keeps std::exp / std::log and
+// stays the reference.
 #pragma once
 
 #include <bit>

@@ -38,14 +38,8 @@ EnsembleSimulator::EnsembleSimulator(Circuit& circuit, size_t lanes, SimOptions 
   state_ptrs_.resize(devices.size(), nullptr);
   for (size_t i = 0; i < devices.size(); ++i) {
     Device* dev = devices[i].get();
-    if (dev->supportsLanes()) {
-      states_[i] = dev->createLaneState(lanes_);
-      state_ptrs_[i] = states_[i].get();
-    } else if (!dev->laneFallbackSafe()) {
-      throw InvalidInputError("EnsembleSimulator: device " + dev->name() +
-                              " carries integration state but has no lane support; "
-                              "run this circuit through the scalar Simulator");
-    }
+    states_[i] = dev->createLaneState(lanes_);
+    state_ptrs_[i] = states_[i].get();
     device_index_[dev] = i;
   }
   zeros_.assign(lanes_, 0.0);
@@ -372,7 +366,7 @@ void EnsembleSimulator::transient(double t_stop, double dt_max, double dt_initia
     const LaneContext ctx = contextFor(x, 0.0, 0.0, IntegrationMethod::None, options_.gmin);
     const auto& devices = circuit_.devices();
     for (size_t i = 0; i < devices.size(); ++i) {
-      if (devices[i]->supportsLanes()) devices[i]->startTransientLanes(ctx, state_ptrs_[i]);
+      devices[i]->startTransientLanes(ctx, state_ptrs_[i]);
     }
   }
   time_.push_back(0.0);
@@ -448,7 +442,7 @@ void EnsembleSimulator::transient(double t_stop, double dt_max, double dt_initia
       const LaneContext ctx = contextFor(x_try, step.t_new, step.dt, step.method, options_.gmin);
       const auto& devices = circuit_.devices();
       for (size_t i = 0; i < devices.size(); ++i) {
-        if (devices[i]->supportsLanes()) devices[i]->acceptStepLanes(ctx, state_ptrs_[i]);
+        devices[i]->acceptStepLanes(ctx, state_ptrs_[i]);
       }
     }
     x_prev = x;

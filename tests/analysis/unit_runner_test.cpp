@@ -172,10 +172,10 @@ TEST(UnitRunner, JobInterruptedPassesThroughUncaught) {
 }
 
 TEST(UnitRunner, GroupsCoverEveryIdAndReportEachUnitDone) {
-  // Armed one past the unit count: the batch reports exactly 10 units,
-  // so the job is still live afterwards and one more unit trips it.
+  // Armed at exactly the unit count: the last group trips the watermark
+  // as it finishes, and nothing is left for the interrupt to stop.
   JobControl job;
-  job.cancelAfterUnits(11);
+  job.cancelAfterUnits(10);
   UnitRunOptions opt;
   opt.threads = 2;
   opt.job = &job;
@@ -184,9 +184,48 @@ TEST(UnitRunner, GroupsCoverEveryIdAndReportEachUnitDone) {
   EXPECT_EQ(groups[0], (std::pair<size_t, size_t>{0, 4}));
   EXPECT_EQ(groups[1], (std::pair<size_t, size_t>{4, 8}));
   EXPECT_EQ(groups[2], (std::pair<size_t, size_t>{8, 10}));
-  EXPECT_FALSE(job.cancelled());
-  job.unitDone();
   EXPECT_TRUE(job.cancelled());
+}
+
+TEST(UnitRunner, InterruptAfterLastUnitDoesNotThrow) {
+  // The watermark trips as the last unit finishes, whichever worker
+  // runs it: the interrupt must not surface once every unit has run.
+  for (const int threads : {2, 4}) {
+    for (int rep = 0; rep < 200; ++rep) {
+      JobControl job;
+      job.cancelAfterUnits(10);
+      UnitRunOptions opt;
+      opt.threads = threads;
+      opt.job = &job;
+      std::atomic<size_t> units{0};
+      ASSERT_NO_THROW(runUnitGroups(
+          10, 4, [&](size_t begin, size_t end) { units += end - begin; }, opt))
+          << threads << " threads, repetition " << rep;
+      EXPECT_EQ(units.load(), 10u);
+    }
+  }
+}
+
+TEST(UnitRunner, InterruptBeforeLastUnitStillThrows) {
+  // Armed at 5 of 10: the watermark trips while units are left. Serial
+  // groups of 4 reach it after the second group with a third to go;
+  // one-unit groups on a pool reach it with at most threads - 1 units
+  // in flight, so at least two are still unclaimed.
+  JobControl serial_job;
+  serial_job.cancelAfterUnits(5);
+  UnitRunOptions serial;
+  serial.threads = 1;
+  serial.job = &serial_job;
+  EXPECT_THROW(runUnitGroups(10, 4, [](size_t, size_t) {}, serial), JobInterrupted);
+  for (const int threads : {2, 4}) {
+    JobControl job;
+    job.cancelAfterUnits(5);
+    UnitRunOptions opt;
+    opt.threads = threads;
+    opt.job = &job;
+    EXPECT_THROW(runUnitGroups(10, 1, [](size_t, size_t) {}, opt), JobInterrupted)
+        << threads << " threads";
+  }
 }
 
 TEST(UnitRunner, NestedCallRunsInline) {

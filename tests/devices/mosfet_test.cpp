@@ -6,9 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/ensemble_assembly.hpp"
+#include "circuit/mna.hpp"
 #include "devices/model_library.hpp"
 #include "devices/passive.hpp"
 #include "devices/sources.hpp"
@@ -244,6 +253,114 @@ TEST(Mosfet, GateLeakageOptIn) {
   auto* vg = dynamic_cast<VoltageSource*>(c.findDevice("vg"));
   ASSERT_NE(vg, nullptr);
   EXPECT_GT(std::fabs(vg->branchCurrent(ctx)), 1e-12);
+}
+
+TEST(Mosfet, DeviceBatchAndLaneStampsAreBitIdentical) {
+  // One lane kernel serves both entry points: device k of a same-card
+  // batch through stampDeviceBatch and lane k of one device through
+  // stampLanes, given the same geometry and terminal voltages, must
+  // produce the same DC stamp ops with bitwise-equal values.
+  MosModelCard leaky = *nmos90();
+  leaky.jg = 10.0;  // exercise the gate-leakage branch too
+  const std::array<MosModelRef, 2> cards = {std::make_shared<const MosModelCard>(leaky),
+                                            pmos90()};
+  constexpr size_t K = 4;
+  std::array<MosGeometry, K> geoms{};
+  geoms[1].w = 520e-9;
+  geoms[1].delta_vt = 0.03;
+  geoms[2].delta_w = -15e-9;
+  geoms[2].delta_l = 4e-9;
+  geoms[3].area_d = 1e-13;
+  geoms[3].area_s = 2e-13;
+  // {d, g, s, b} per lane: saturation, triode, subthreshold with a
+  // forward-biased junction, and a reversed drain.
+  const double volts[K][4] = {{1.0, 0.8, 0.0, 0.0},
+                              {0.05, 1.2, 0.0, -0.1},
+                              {0.6, 0.3, 0.1, 0.9},
+                              {-0.2, 0.5, 0.4, 0.0}};
+
+  for (const MosModelRef& card : cards) {
+    const double pol = card->sign();
+
+    // Batch side: K devices on disjoint nodes, recorded once through
+    // scalar stamp(), then re-captured through stampDeviceBatch.
+    Circuit c;
+    std::vector<Device*> devs;
+    std::vector<double> x;
+    for (size_t k = 0; k < K; ++k) {
+      std::array<NodeId, 4> n{};
+      for (size_t t = 0; t < 4; ++t) {
+        n[t] = c.node("n" + std::to_string(k) + "_" + std::to_string(t));
+        x.push_back(pol * volts[k][t]);
+      }
+      devs.push_back(&c.add<Mosfet>("m" + std::to_string(k), n[0], n[1], n[2], n[3], card,
+                                    geoms[k]));
+    }
+    ASSERT_EQ(c.assignBranchIndices(), 0u);
+    EvalContext ctx;
+    ctx.x = x;
+    MnaSystem sys(c.nodeCount(), 0);
+    AssemblyTape tape;
+    tape.beginRecording(&sys, c.revision());
+    Stamper stamper(sys);
+    stamper.startRecording(tape);
+    for (Device* dev : devs) {
+      tape.beginDevice();
+      dev->stamp(stamper, ctx);
+      tape.endDevice();
+    }
+    tape.finishRecording(sys.matrix(), sys.numNodes());
+    for (size_t i = 0; i < tape.opCount(); ++i) {
+      tape.setOpValue(i, std::numeric_limits<double>::quiet_NaN());
+    }
+    std::vector<uint32_t> op_begin, op_end;
+    for (size_t k = 0; k < K; ++k) {
+      op_begin.push_back(tape.span(k).op_begin);
+      op_end.push_back(tape.span(k).op_end);
+    }
+    stamper.startCapture(tape);
+    devs[0]->stampDeviceBatch(devs, op_begin, op_end, stamper, ctx);
+
+    // Lane side: one device, lane k carrying device k's geometry and
+    // terminal voltages.
+    Circuit lc;
+    std::array<NodeId, 4> ln{};
+    for (size_t t = 0; t < 4; ++t) ln[t] = lc.node("t" + std::to_string(t));
+    Mosfet& lane_fet = lc.add<Mosfet>("m", ln[0], ln[1], ln[2], ln[3], card, geoms[0]);
+    ASSERT_EQ(lc.assignBranchIndices(), 0u);
+    std::unique_ptr<DeviceLaneState> state = lane_fet.createLaneState(K);
+    auto& mst = static_cast<MosfetLaneState&>(*state);
+    std::vector<double> xs(lc.nodeCount() * K);
+    for (size_t k = 0; k < K; ++k) {
+      mst.setGeometry(k, geoms[k]);
+      for (size_t t = 0; t < 4; ++t) xs[static_cast<size_t>(ln[t]) * K + k] = pol * volts[k][t];
+    }
+    const std::vector<double> zeros(K, 0.0);
+    LaneContext lctx;
+    lctx.x = xs;
+    lctx.zero = zeros.data();
+    lctx.lanes = K;
+    EnsembleSystem esys(lc.nodeCount(), 0, K);
+    LaneTape lane_tape;
+    lane_tape.beginRecording(&esys, lc.revision(), 1, K);
+    LaneStamper lane_stamper(esys);
+    lane_stamper.startRecording(lane_tape);
+    lane_tape.beginDevice();
+    lane_fet.stampLanes(lane_stamper, lctx, state.get());
+    lane_tape.endDevice();
+
+    for (size_t k = 0; k < K; ++k) {
+      ASSERT_EQ(lane_tape.opCount(), op_end[k] - op_begin[k]) << "device " << k;
+      for (size_t i = 0; i < lane_tape.opCount(); ++i) {
+        const size_t j = op_begin[k] + i;
+        EXPECT_EQ(lane_tape.op(i).kind, tape.op(j).kind) << "op " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(lane_tape.opLanes(i)[k]),
+                  std::bit_cast<uint64_t>(tape.opValue(j)))
+            << "polarity " << pol << " lane " << k << " op " << i << ": "
+            << lane_tape.opLanes(i)[k] << " vs " << tape.opValue(j);
+      }
+    }
+  }
 }
 
 }  // namespace
