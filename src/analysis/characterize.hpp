@@ -5,22 +5,21 @@
 //
 // Perf core: grid points of one (cell, corner) share the testbench
 // topology and differ only in the PWL input edge time and the load
-// capacitance — *parameter* lanes. K grid points at a time are mapped
-// onto the SoA ensemble engine (SourceLaneState waveform overrides +
-// CapacitorLaneState load overrides), so one stamp tape and one
-// symbolic LU factorization serve the whole table while the (cell,
-// corner) tasks fan out across the VLS_THREADS worker pool. Each batch
-// warm-starts its operating point from the previous batch's converged
-// t=0 solution (SPICE .nodeset) — grid neighbors sit at the same DC
-// state, so the Newton ladder collapses to a couple of iterations.
+// capacitance — *parameter* lanes. Up to K grid points at a time are
+// mapped onto the SoA ensemble engine (SourceLaneState waveform
+// overrides + CapacitorLaneState load overrides), so one stamp tape and
+// one symbolic LU factorization serve the whole batch. Every lane batch
+// (and every task's static harness) is one independent unit of a
+// single flat dispatch over the VLS_THREADS worker pool: each builds
+// its own testbench, starts its operating point cold and runs at its
+// true width, so no unit waits on another and the pool balances at
+// batch granularity rather than at whole (cell, corner) tasks.
 //
 // The scalar per-point loop (use_lanes = false) is the reference
 // implementation; the lane path must reproduce its tables within
 // CharGrid::lane_rel_tol (enforced by tests and the perf-smoke CI).
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "analysis/corners.hpp"
 #include "analysis/shifter_harness.hpp"
 #include "base/job_control.hpp"
+#include "sim/result.hpp"
 
 namespace vls {
 
@@ -54,16 +54,15 @@ struct CharGrid {
 
   /// Lane-batched engine (false = scalar per-point reference loop).
   bool use_lanes = true;
-  /// Grid points per ensemble batch, clamped to [1, kMaxLanes].
+  /// Grid points per ensemble batch, clamped to [1, kMaxLanes]; the
+  /// last batch of a task runs at whatever width is left.
   size_t lane_width = 8;
-  /// Warm-start each batch / point from its predecessor's operating point.
-  bool warm_start = true;
   /// Run the driver-loaded static harness (leakage / functional) per
   /// cell. Perf benches turn it off to time the grid alone.
   bool static_metrics = true;
   /// Optional evaluation order of the flattened grid (size slews*loads;
-  /// empty = row-major). The grid-shuffle test uses this to show the
-  /// warm-start chain does not change converged results.
+  /// empty = row-major): consecutive runs of lane_width entries form
+  /// the lane batches.
   std::vector<size_t> point_order;
 
   /// Documented agreement bound between the lane and scalar paths:
@@ -112,6 +111,20 @@ struct CharPointFailure {
   std::string message; ///< the final thrown message
 };
 
+/// Engine effort summed over every transient a table's points came
+/// from (lane batches, scalar points and escalated retries that
+/// converged). The counts are deterministic — identical for every
+/// thread count; phase_times is wall time and is not.
+struct CharEngineStats {
+  size_t steps = 0;                 ///< accepted time points (t = 0 included)
+  size_t rejected_steps = 0;        ///< Newton and LTE rejections
+  size_t newton_iterations = 0;     ///< transient Newton iterations
+  size_t bypassed_evaluations = 0;  ///< device evaluations skipped by bypass
+  SimPhaseTimes phase_times{};
+
+  CharEngineStats& operator+=(const CharEngineStats& o);
+};
+
 /// The full table set of one (cell, corner): points in row-major
 /// slews-major order (point index = si * loads.size() + li).
 struct CharTable {
@@ -134,6 +147,7 @@ struct CharTable {
   /// Grid points that failed every attempt: holes in the table
   /// (ok == false), annotated in the .lib output.
   std::vector<CharPointFailure> failures;
+  CharEngineStats engine{};
 
   const CharPoint& at(size_t si, size_t li) const { return points[si * loads.size() + li]; }
 };
@@ -152,39 +166,37 @@ struct CharRequest {
   /// immediately).
   int max_retries = 1;
   /// Cooperative cancellation / deadline, threaded into every solver
-  /// loop of every task (see base/job_control). unitDone() fires once
-  /// per completed lane batch / scalar point.
+  /// loop of every unit (see base/job_control). unitDone() fires once
+  /// per completed unit: lane batch or scalar point, static harness,
+  /// escalated retry.
   std::shared_ptr<JobControl> job;
-  /// Checkpoint/resume: when non-empty, per-(cell, corner) progress —
-  /// measured points, batch cursor, warm-start chain state — is
-  /// atomically rewritten to this file after every lane batch / scalar
-  /// point. An existing compatible file resumes mid-grid; resumed
-  /// farms produce bit-identical tables (and .lib text) to
-  /// uninterrupted runs. An incompatible file throws.
+  /// Checkpoint/resume: when non-empty, the output of every completed
+  /// lane batch / scalar point / static harness is recorded in this
+  /// file, atomically rewritten after each one. An existing compatible
+  /// file resumes with those units skipped; resumed farms produce
+  /// bit-identical tables (and .lib text) to uninterrupted runs. An
+  /// incompatible file throws.
   std::string checkpoint_path;
 };
 
-/// Per-task resilience plumbing characterizeCells hands to each
-/// characterizeCell call; default-constructed = no job control, one
-/// retry, no checkpointing (the standalone-call behavior).
+/// Resilience plumbing of a standalone characterizeCell call;
+/// default-constructed = no job control, one retry.
 struct CharCellControl {
   std::shared_ptr<JobControl> job;  ///< cancellation/deadline token
   int max_retries = 1;              ///< escalated retries per failing point
-  /// Serialized progress to resume from (null = fresh task).
-  const std::vector<uint8_t>* resume = nullptr;
-  /// Progress sink, called with the serialized task state after every
-  /// completed batch/point and once at task completion (null = off).
-  std::function<void(const std::vector<uint8_t>&)> save;
 };
 
-/// Characterize every (kind, corner) pair; tasks fan out across the
-/// VLS_THREADS pool, each running its grid through the lane-batched
-/// ensemble engine (or the scalar loop when grid.use_lanes is false).
-/// Results are ordered kinds-major: result[k * corners + c].
+/// Characterize every (kind, corner) pair. Every lane batch (scalar
+/// point when grid.use_lanes is false) and every task's static harness
+/// is one unit of one flat dispatch over the VLS_THREADS pool; points
+/// the engine drops then go through a second pass of escalated scalar
+/// retries. Results are ordered kinds-major: result[k * corners + c],
+/// bit-identical for every thread count.
 std::vector<CharTable> characterizeCells(const CharRequest& request);
 
-/// One (kind, corner) grid — the unit of work characterizeCells
-/// parallelizes over; exposed for tests and benches.
+/// One (kind, corner) grid through the same units as characterizeCells,
+/// so its table equals the farm's bit for bit; exposed for tests and
+/// benches.
 CharTable characterizeCell(ShifterKind kind, const CharCorner& corner, const CharGrid& grid,
                            const HarnessConfig& base, const CharCellControl& control = {});
 

@@ -159,7 +159,7 @@ class ShifterTestbench {
 
   /// Shared metric extraction for the scalar and ensemble paths:
   /// delays/powers/functionality from the run's waveforms, leakage from
-  /// `solve_op_at(t_probe, warm_start)` — a warm-started DC solve in
+  /// `solve_op_at(t_probe, x0)` — a DC solve warm-started from x0 in
   /// the scalar path, a gather from the ensemble's batched leak solves
   /// in the lane path.
   using LeakSolver =

@@ -31,6 +31,9 @@ SimOptions attemptOptions(SimOptions sim, const RecoveryPolicy& policy) {
 void runUnitGroups(size_t n, size_t group, const std::function<void(size_t, size_t)>& body,
                    const UnitRunOptions& options) {
   group = std::max<size_t>(group, 1);
+  // One group per pool claim: a group is at least one whole simulation,
+  // so a claim costs nothing beside it, while claiming several at once
+  // only coarsens the load balance of unequal units.
   parallelForChunked(
       (n + group - 1) / group,
       [&](size_t g) {
@@ -39,7 +42,7 @@ void runUnitGroups(size_t n, size_t group, const std::function<void(size_t, size
         body(begin, end);
         if (options.job != nullptr) options.job->unitDone(end - begin);
       },
-      ParallelOptions{options.threads, 0, options.job});
+      ParallelOptions{options.threads, 1, options.job});
 }
 
 }  // namespace vls

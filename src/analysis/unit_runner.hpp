@@ -1,6 +1,7 @@
 // One runner for every multi-unit analysis: N independent simulations
-// with stable ids 0..N-1 (Monte-Carlo samples, the farm's retry phase,
-// sweep points, corners, sensitivity probes, worst-case stimuli). It
+// with stable ids 0..N-1 (Monte-Carlo samples, the farm's lane batches
+// and retry pass, sweep points, corners, sensitivity probes, worst-case
+// stimuli). It
 // owns the three decisions such a batch makes:
 //
 //   * the escalation ladder of one unit: attempt 0 under the caller's
@@ -10,8 +11,8 @@
 //   * the failure record: message, deepest recovery stage and node, and
 //     the thrown exception itself, so callers can rethrow it as is;
 //   * dispatch: parallelForChunked under the caller's JobControl, one
-//     unitDone per unit, results in pre-sized slots read in id order —
-//     bit-identical for any thread count.
+//     group per pool claim, one unitDone per unit, results in pre-sized
+//     slots read in id order — bit-identical for any thread count.
 //
 // Anything that is not a vls::Error (JobInterrupted above all) passes
 // the ladder uncaught and ends the batch through the pool's

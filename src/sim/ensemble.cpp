@@ -1,6 +1,7 @@
 #include "sim/ensemble.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <span>
 #include <string>
@@ -129,6 +130,10 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
   }
   if (!any_selected) return true;
 
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
   for (int iter = 0; iter < options_.max_newton_iter; ++iter) {
     // Cancellation point: interrupts stop the lockstep run within one
     // Newton iteration, same contract as the scalar engine.
@@ -152,7 +157,11 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
 
     ctx.x = std::span<const double>(x);
     assembly_opts.allow_bypass_now = iter >= bypass_settle;
-    assembler_.assemble(ctx, state_ptrs_, assembly_opts);
+    {
+      const auto t0 = Clock::now();
+      assembler_.assemble(ctx, state_ptrs_, assembly_opts);
+      phases_.assembly_sec += seconds_since(t0);
+    }
 
     // Post-assembly fault injection (applying faults inside device
     // stamps would desync the shared lane tape).
@@ -181,7 +190,9 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
       // Shared symbolic structure, per-lane numeric refactorization. A
       // lane whose pivot degrades under the shared order is deadened
       // (lane_ok_ = 0) without disturbing its siblings.
+      const auto t_factor = Clock::now();
       lu_.refactor(sys_.matrix(), pending_.data(), lane_ok_.data());
+      phases_.factor_sec += seconds_since(t_factor);
     } catch (const NumericalError& e) {
       // Every selected lane is singular (the re-analyze found no viable
       // pivot source). The numeric pass that preceded it still recorded
@@ -206,8 +217,12 @@ bool EnsembleSimulator::newtonLanes(double time, double dt, IntegrationMethod me
         if (!stamp_fault.empty()) attempt_failure_[l].message = stamp_fault;
       }
     }
-    x_new_ = sys_.rhs();
-    lu_.solveInPlace(x_new_, pending_.data());
+    {
+      const auto t_solve = Clock::now();
+      x_new_ = sys_.rhs();
+      lu_.solveInPlace(x_new_, pending_.data());
+      phases_.solve_sec += seconds_since(t_solve);
+    }
 
     // Per-lane Newton update (non-finite guard, damping, bounding,
     // convergence check). Converged lanes freeze: their unknowns stop

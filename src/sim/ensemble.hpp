@@ -72,14 +72,6 @@ class EnsembleSimulator {
   /// the lane is alive).
   const LaneFailure& laneFailure(size_t l) const { return lane_failures_[l]; }
 
-  /// Install (or clear) a nodeset warm start for subsequent solveOp /
-  /// transient calls: every lane's cold-start guess becomes the given
-  /// AoS vector instead of zeros. The characterization farm seeds each
-  /// grid batch with its slew-neighbor's converged operating point.
-  void setNodeset(std::shared_ptr<const std::vector<double>> ns) {
-    options_.nodeset = std::move(ns);
-  }
-
   /// Lockstep operating point from zeros: direct Newton on every lane,
   /// then per-lane gmin and source-stepping ladders (shared schedules
   /// with the scalar RecoveryEngine) for the holdouts. Lanes that still
@@ -113,6 +105,10 @@ class EnsembleSimulator {
   /// Device model evaluations skipped by bypass (SimOptions::enable_bypass;
   /// a device counts once per Newton iteration it sat quiet in all lanes).
   size_t bypassedEvaluations() const { return assembler_.bypassedEvaluations(); }
+  /// Phase wall-time attribution over every solve this ensemble has run
+  /// (see SimPhaseTimes; model_eval_sec reads 0, the lane assembler
+  /// evaluates and scatters in one pass).
+  const SimPhaseTimes& phaseTimes() const { return phases_; }
 
  private:
   LaneContext contextFor(const std::vector<double>& x, double time, double dt,
@@ -178,6 +174,7 @@ class EnsembleSimulator {
   std::vector<std::vector<double>> data_;
   size_t total_newton_iterations_ = 0;
   size_t rejected_steps_ = 0;
+  SimPhaseTimes phases_;
 };
 
 }  // namespace vls

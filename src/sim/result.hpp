@@ -12,6 +12,28 @@
 
 namespace vls {
 
+/// Cumulative wall-time attribution of the Newton loop's phases across
+/// every solve an engine (Simulator or EnsembleSimulator) has run
+/// (transient + OP + recovery rungs). model_eval_sec is the portion of
+/// assembly_sec spent linearizing device models — only separable under
+/// the scalar engine's parallel assembly, where the evaluate region is
+/// timed apart from the apply/reduce; it reads 0 with the serial
+/// assemblers.
+struct SimPhaseTimes {
+  double assembly_sec = 0.0;
+  double model_eval_sec = 0.0;
+  double factor_sec = 0.0;
+  double solve_sec = 0.0;
+
+  SimPhaseTimes& operator+=(const SimPhaseTimes& o) {
+    assembly_sec += o.assembly_sec;
+    model_eval_sec += o.model_eval_sec;
+    factor_sec += o.factor_sec;
+    solve_sec += o.solve_sec;
+    return *this;
+  }
+};
+
 /// A named time series extracted from a result.
 struct Signal {
   std::vector<double> time;

@@ -24,19 +24,6 @@ namespace vls {
 
 class VoltageSource;
 
-/// Cumulative wall-time attribution of the Newton loop's phases across
-/// every solve this simulator has run (transient + OP + recovery rungs).
-/// model_eval_sec is the portion of assembly_sec spent linearizing
-/// device models — only separable under parallel assembly, where the
-/// evaluate region is timed apart from the apply/reduce; it reads 0
-/// with the serial assembler.
-struct SimPhaseTimes {
-  double assembly_sec = 0.0;
-  double model_eval_sec = 0.0;
-  double factor_sec = 0.0;
-  double solve_sec = 0.0;
-};
-
 class Simulator {
  public:
   /// The circuit must outlive the simulator. Branch indices are

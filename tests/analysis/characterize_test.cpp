@@ -1,7 +1,8 @@
 // Characterization farm: the lane-batched engine must reproduce the
-// scalar reference loop within CharGrid::lane_rel_tol, stay invariant
-// under the thread count, and the warm-start chain must not change
-// converged results under grid reordering.
+// scalar reference loop within CharGrid::lane_rel_tol; every unit is
+// independent and cold-started, so the tables are bit-identical under
+// the thread count, grid reordering (scalar path), the farm-vs-single
+// -cell split and the width a lane batch happens to run at.
 #include "analysis/characterize.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 
 #include "base/job_control.hpp"
+#include "io/checkpoint.hpp"
 #include "io/liberty_validate.hpp"
 #include "io/liberty_writer.hpp"
 #include "sim/fault_injection.hpp"
@@ -163,12 +165,25 @@ TEST(Characterize, FarmInvariantUnderThreadCount) {
   ASSERT_EQ(t4.size(), 2u);
   for (size_t i = 0; i < t1.size(); ++i) {
     EXPECT_TRUE(identicalTables(t1[i], t4[i])) << "task " << i;
+    // The lane engine's effort counters are summed per table and are
+    // as deterministic as the tables themselves.
+    const CharEngineStats& a = t1[i].engine;
+    const CharEngineStats& b = t4[i].engine;
+    EXPECT_GT(a.steps, 0u) << "task " << i;
+    EXPECT_GT(a.rejected_steps, 0u) << "task " << i;
+    EXPECT_GT(a.newton_iterations, 0u) << "task " << i;
+    EXPECT_GT(a.bypassed_evaluations, 0u) << "task " << i;
+    EXPECT_GT(a.phase_times.assembly_sec, 0.0) << "task " << i;
+    EXPECT_EQ(a.steps, b.steps) << "task " << i;
+    EXPECT_EQ(a.rejected_steps, b.rejected_steps) << "task " << i;
+    EXPECT_EQ(a.newton_iterations, b.newton_iterations) << "task " << i;
+    EXPECT_EQ(a.bypassed_evaluations, b.bypassed_evaluations) << "task " << i;
   }
   EXPECT_EQ(t1[0].kind, ShifterKind::Sstvs);
   EXPECT_EQ(t1[1].kind, ShifterKind::InverterOnly);
 }
 
-TEST(Characterize, WarmStartChainInvariantUnderGridShuffle) {
+TEST(Characterize, ScalarInvariantUnderGridShuffle) {
   CharGrid grid = testGrid();
   grid.use_lanes = false;
   const CharCorner corner = typicalCorner();
@@ -176,8 +191,8 @@ TEST(Characterize, WarmStartChainInvariantUnderGridShuffle) {
 
   const CharTable row_major = characterizeCell(ShifterKind::Sstvs, corner, grid, base);
 
-  // Reversed order flips every warm-start edge in the chain; converged
-  // results must not care where their initial guess came from.
+  // Every scalar point is its own cold-started unit, so the evaluation
+  // order cannot reach the results.
   const size_t n = grid.slews.size() * grid.loads.size();
   grid.point_order.resize(n);
   std::iota(grid.point_order.begin(), grid.point_order.end(), size_t{0});
@@ -185,7 +200,49 @@ TEST(Characterize, WarmStartChainInvariantUnderGridShuffle) {
   const CharTable shuffled = characterizeCell(ShifterKind::Sstvs, corner, grid, base);
 
   EXPECT_TRUE(allOk(shuffled));
-  EXPECT_LE(maxRelDiff(shuffled, row_major), grid.lane_rel_tol);
+  EXPECT_TRUE(identicalTables(shuffled, row_major));
+}
+
+TEST(Characterize, FarmMatchesPerTaskCell) {
+  CharRequest req;
+  req.kinds = {ShifterKind::Sstvs, ShifterKind::InverterOnly};
+  req.corners = standardCharCorners();
+  req.grid = testGrid();
+  req.grid.lane_width = 4;  // 6 points: a full batch and a 2-wide tail
+  const std::vector<CharTable> farm = characterizeCells(req);
+  ASSERT_EQ(farm.size(), 4u);
+  for (size_t t = 0; t < farm.size(); ++t) {
+    const CharTable cell = characterizeCell(req.kinds[t / 2], req.corners[t % 2], req.grid,
+                                            req.base);
+    EXPECT_TRUE(identicalTables(farm[t], cell)) << "task " << t;
+    EXPECT_EQ(farm[t].static_metrics.leakage_high, cell.static_metrics.leakage_high);
+    EXPECT_EQ(farm[t].static_metrics.functional, cell.static_metrics.functional);
+    EXPECT_EQ(farm[t].area_m2, cell.area_m2);
+    EXPECT_EQ(farm[t].engine.newton_iterations, cell.engine.newton_iterations);
+  }
+}
+
+TEST(Characterize, TailBatchMatchesPointAlone) {
+  // 9 points at width 8: the last batch runs one lane at its true
+  // width, which must be exactly the point characterized on its own.
+  CharGrid grid = testGrid();
+  grid.loads = {1e-15, 2e-15, 4e-15};
+  grid.lane_width = 8;
+  grid.static_metrics = false;
+  const CharCorner corner = typicalCorner();
+  const HarnessConfig base;
+  const CharTable full = characterizeCell(ShifterKind::Sstvs, corner, grid, base);
+  ASSERT_EQ(full.points.size(), 9u);
+
+  CharGrid alone = grid;
+  alone.slews = {grid.slews.back()};
+  alone.loads = {grid.loads.back()};
+  const CharTable single = characterizeCell(ShifterKind::Sstvs, corner, alone, base);
+  ASSERT_EQ(single.points.size(), 1u);
+  EXPECT_TRUE(single.points[0].ok);
+  CharTable last = full;
+  last.points = {full.points.back()};
+  EXPECT_TRUE(identicalTables(last, single));
 }
 
 TEST(Characterize, RejectsBadGrids) {
@@ -320,6 +377,22 @@ TEST(CharFarmResilience, IncompatibleCheckpointRejected) {
   CharRequest corner = req;
   corner.corners[0].vddi = 0.7;
   EXPECT_THROW(characterizeCells(corner), InvalidInputError);
+}
+
+TEST(CharFarmResilience, OldPayloadVersionRejected) {
+  // A farm checkpoint of payload sub-version 1 cannot seed the
+  // per-unit layout of sub-version 2.
+  ScopedCkpt f("test_farm_v1.vlsckpt");
+  CheckpointWriter fingerprint;
+  fingerprint.u32(1);
+  CheckpointWriter w;
+  w.blob(fingerprint.bytes());
+  w.u64(0);
+  writeCheckpointFile(f.path, kCheckpointKindCharFarm, w);
+
+  CharRequest req = resilienceFarm();
+  req.checkpoint_path = f.path;
+  EXPECT_THROW(characterizeCells(req), InvalidInputError);
 }
 
 TEST(CharFarmResilience, FaultedPointBecomesAnnotatedHole) {
