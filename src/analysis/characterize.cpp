@@ -161,7 +161,7 @@ UnitOutput runScalarPoint(const FarmTask& task, const CharGrid& grid, size_t idx
   UnitOutput out;
   out.points = {measurePoint(run, task.cfg, tb->inverting(), *tb->vddoSource(), slew, load)};
   out.requeue = {0};
-  out.engine = {run.steps(), run.rejected_steps, run.total_newton_iterations, 0,
+  out.engine = {run.steps(), run.rejected_steps, run.total_newton_iterations, 0, 0,
                 sim.phaseTimes()};
   return out;
 }
@@ -217,8 +217,12 @@ UnitOutput runLaneBatch(const FarmTask& task, const CharGrid& grid, const size_t
                                  grid.loads[idx[l] % n_loads]);
     out.requeue[l] = 0;
   }
-  out.engine = {sim.steps(), sim.rejectedSteps(), sim.totalNewtonIterations(),
-                sim.bypassedEvaluations(), sim.phaseTimes()};
+  out.engine = {sim.steps(),
+                sim.rejectedSteps(),
+                sim.totalNewtonIterations(),
+                sim.bypassedEvaluations(),
+                sim.laneEvaluations(),
+                sim.phaseTimes()};
   return out;
 }
 
@@ -252,7 +256,7 @@ UnitOutput runStaticHarness(const FarmTask& task, const HarnessConfig& base) {
 // ---------------------------------------------------------------------------
 
 /// Payload sub-version, the first field of the fingerprint.
-constexpr uint32_t kFarmPayloadVersion = 2;
+constexpr uint32_t kFarmPayloadVersion = 3;
 
 void writeCharPoint(CheckpointWriter& w, const CharPoint& p) {
   w.f64(p.slew);
@@ -292,6 +296,7 @@ std::vector<uint8_t> serializeUnitOutput(const UnitOutput& out) {
   w.u64(e.rejected_steps);
   w.u64(e.newton_iterations);
   w.u64(e.bypassed_evaluations);
+  w.u64(e.lane_evaluations);
   w.f64(e.phase_times.assembly_sec);
   w.f64(e.phase_times.model_eval_sec);
   w.f64(e.phase_times.factor_sec);
@@ -316,6 +321,7 @@ UnitOutput deserializeUnitOutput(const std::vector<uint8_t>& bytes, size_t width
   e.rejected_steps = r.u64();
   e.newton_iterations = r.u64();
   e.bypassed_evaluations = r.u64();
+  e.lane_evaluations = r.u64();
   e.phase_times.assembly_sec = r.f64();
   e.phase_times.model_eval_sec = r.f64();
   e.phase_times.factor_sec = r.f64();
@@ -391,6 +397,7 @@ CharEngineStats& CharEngineStats::operator+=(const CharEngineStats& o) {
   rejected_steps += o.rejected_steps;
   newton_iterations += o.newton_iterations;
   bypassed_evaluations += o.bypassed_evaluations;
+  lane_evaluations += o.lane_evaluations;
   phase_times += o.phase_times;
   return *this;
 }

@@ -120,6 +120,7 @@ struct CharEngineStats {
   size_t rejected_steps = 0;        ///< Newton and LTE rejections
   size_t newton_iterations = 0;     ///< transient Newton iterations
   size_t bypassed_evaluations = 0;  ///< device evaluations skipped by bypass
+  size_t lane_evaluations = 0;      ///< MOSFET lanes evaluated (stamp + accept)
   SimPhaseTimes phase_times{};
 
   CharEngineStats& operator+=(const CharEngineStats& o);

@@ -96,6 +96,10 @@ struct LaneContext {
 /// so the scalar reference path is never perturbed by ensemble runs.
 struct DeviceLaneState {
   virtual ~DeviceLaneState() = default;
+  /// Lanes of model evaluation run on this state: ctx.lanes per
+  /// stampLanes and acceptStepLanes call. Only the MOSFET lane kernel
+  /// counts; other devices leave it 0.
+  size_t lane_evaluations = 0;
 };
 
 /// Base class of all circuit elements.

@@ -8,6 +8,15 @@
 
 namespace vls {
 
+MosCardConstants cardConstants(const MosModelCard& m) {
+  MosCardConstants k;
+  k.knee_pow = std::pow(1.0 - m.fc, m.mj);
+  k.knee_factor = std::pow(1.0 - m.fc, -m.mj);
+  k.knee_slope = k.knee_factor * m.mj / (m.pb * (1.0 - m.fc));
+  k.gate_leak_scale = m.jg / std::sinh(2.0);
+  return k;
+}
+
 MosOperating resolveOperating(const MosModelCard& card, const MosGeometry& geom,
                               double temperature) {
   const double w_eff = geom.w + geom.delta_w;

@@ -77,6 +77,19 @@ struct MosModelCard {
   double sign() const { return type == MosType::Nmos ? 1.0 : -1.0; }
 };
 
+/// Bias-independent constants derived from a card: the junction
+/// depletion-cap knee and the gate-leakage normalization. A card never
+/// changes once a device holds it, so a Mosfet computes these once at
+/// construction instead of per evaluation (each is the exact expression
+/// its evaluation used before, so results do not move).
+struct MosCardConstants {
+  double knee_pow = 1.0;         ///< (1-fc)^mj: the scalar junctionCap divides by it
+  double knee_factor = 1.0;      ///< (1-fc)^-mj: the lane kernel multiplies by it
+  double knee_slope = 0.0;       ///< knee_factor * mj / (pb (1-fc)), lane kernel
+  double gate_leak_scale = 0.0;  ///< jg / sinh(2), lane kernel (per unit gate area)
+};
+MosCardConstants cardConstants(const MosModelCard& card);
+
 /// Per-instance geometry and Monte-Carlo deviations.
 struct MosGeometry {
   double w = 200e-9;        ///< drawn width [m]
@@ -151,8 +164,11 @@ T mosCoreCurrent(const MosModelCard& card, const MosOperating& op, const T& vg, 
 /// math mirrors mosCoreCurrent<Dual<3>> exactly (same softplus
 /// saturation branches) but uses hand-derived partials and the
 /// branch-free fastExp/fastLog kernels, so the per-lane loop body
-/// auto-vectorizes. Scalar simulation remains the reference; agreement
-/// is enforced by a differential test.
+/// auto-vectorizes (32-byte vectors on the SSTVS_SIMD build). That
+/// needs the lanes.hpp kernels inlined into the loop, which their
+/// always_inline attribute forces and a CI objdump step guards. Scalar
+/// simulation remains the reference; agreement is enforced by a
+/// differential test.
 void mosCoreCurrentLanes(const MosModelCard& card, size_t lanes, double ut, double n,
                          const double* vt, const double* beta, const double* vg,
                          const double* vd, const double* vs, double* ids, double* gg,

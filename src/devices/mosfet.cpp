@@ -79,11 +79,11 @@ struct LaneEval {
 
 /// Depletion cap for all lanes: junctionCap's knee linearization,
 /// evaluated branch-free.
-void junctionCapLanes(const MosModelCard& m, size_t lanes, const double* v, const double* c0,
-                      double* c) {
+void junctionCapLanes(const MosModelCard& m, const MosCardConstants& mk, size_t lanes,
+                      const double* v, const double* c0, double* c) {
   const double v_knee = m.fc * m.pb;
-  const double k_knee = std::pow(1.0 - m.fc, -m.mj);
-  const double k_slope = k_knee * m.mj / (m.pb * (1.0 - m.fc));
+  const double k_knee = mk.knee_factor;
+  const double k_slope = mk.knee_slope;
   const double inv_pb = 1.0 / m.pb;
 #pragma omp simd
   for (size_t l = 0; l < lanes; ++l) {
@@ -98,14 +98,17 @@ void junctionCapLanes(const MosModelCard& m, size_t lanes, const double* v, cons
 
 /// Evaluates K lanes of card `m`: the DC companions (channel, junction
 /// diodes, gate leakage) when `dc`, the five capacitances when `caps`.
-void evalLanes(const MosModelCard& m, size_t K, double temperature, const LaneParams& p,
-               const LaneTerminals& v, bool dc, bool caps, LaneEval& out) {
+void evalLanes(const MosModelCard& m, const MosCardConstants& mk, size_t K, double temperature,
+               const LaneParams& p, const LaneTerminals& v, bool dc, bool caps, LaneEval& out) {
+  // Scratch runs are not zero-filled: every loop writes lanes [0, K)
+  // before any reads them. The guard lets the compiler see that too.
+  if (K == 0) return;
   const double s = m.sign();
   const double ut = thermalVoltage(temperature);
   const double n = m.n_slope;
 
   // Polarity-normalized, bulk-referenced voltages.
-  double vgn[kMaxLanes] = {}, vdn[kMaxLanes] = {}, vsn[kMaxLanes] = {};
+  double vgn[kMaxLanes], vdn[kMaxLanes], vsn[kMaxLanes];
 #pragma omp simd
   for (size_t l = 0; l < K; ++l) {
     vgn[l] = s * (v.g[l] - v.b[l]);
@@ -115,7 +118,7 @@ void evalLanes(const MosModelCard& m, size_t K, double temperature, const LanePa
 
   if (dc) {
     // --- DC channel current (SoA core + hand-derived Jacobian) --------
-    double ids[kMaxLanes] = {};
+    double ids[kMaxLanes];
     mosCoreCurrentLanes(m, K, ut, n, p.vt, p.beta, vgn, vdn, vsn, ids, out.gg, out.gd, out.gs);
 #pragma omp simd
     for (size_t l = 0; l < K; ++l) {
@@ -126,7 +129,7 @@ void evalLanes(const MosModelCard& m, size_t K, double temperature, const LanePa
     }
 
     // --- Junction diodes (bulk-drain, bulk-source) --------------------
-    double i_sat[kMaxLanes] = {}, v_ac[kMaxLanes] = {}, ij[kMaxLanes] = {};
+    double i_sat[kMaxLanes], v_ac[kMaxLanes], ij[kMaxLanes];
     for (int which = 0; which < 2; ++which) {
       const double* vdiff = which == 0 ? v.d : v.s;
       for (size_t l = 0; l < K; ++l) {
@@ -141,7 +144,7 @@ void evalLanes(const MosModelCard& m, size_t K, double temperature, const LanePa
 
     // --- Gate leakage (optional; card-wide switch) --------------------
     if (m.jg > 0.0) {
-      const double j_scale = m.jg / std::sinh(2.0);
+      const double j_scale = mk.gate_leak_scale;
 #pragma omp simd
       for (size_t l = 0; l < K; ++l) {
         const double scale = j_scale * p.w_eff[l] * p.l_gate[l];
@@ -179,11 +182,11 @@ void evalLanes(const MosModelCard& m, size_t K, double temperature, const LanePa
     }
 
     // --- Junction depletion (bulk-drain, bulk-source) -----------------
-    double vj[kMaxLanes] = {};
+    double vj[kMaxLanes];
     for (int which = 0; which < 2; ++which) {
       const double* vdiff = which == 0 ? v.d : v.s;
       for (size_t l = 0; l < K; ++l) vj[l] = s * (v.b[l] - vdiff[l]);
-      junctionCapLanes(m, K, vj, p.jc0[which], which == 0 ? out.cbd : out.cbs);
+      junctionCapLanes(m, mk, K, vj, p.jc0[which], which == 0 ? out.cbd : out.cbs);
     }
   }
 }
@@ -206,7 +209,7 @@ void stampCapLanes(LaneStamper& stamper, const LaneContext& ctx, NodeId a, NodeI
   const double* vb = ctx.v(b);
   const double k_g = (ctx.method == IntegrationMethod::Trapezoidal ? 2.0 : 1.0) / ctx.dt;
   const double tr = ctx.method == IntegrationMethod::Trapezoidal ? 1.0 : 0.0;
-  double geq[kMaxLanes] = {}, ieq[kMaxLanes] = {};
+  double geq[kMaxLanes], ieq[kMaxLanes];
   for (size_t l = 0; l < ctx.lanes; ++l) {
     const double v = va[l] - vb[l];
     const double dq = c[l] * (v - state.v_prev[l]);  // q - hist.q
@@ -243,6 +246,7 @@ Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source, NodeI
     : Device(std::move(name)), nodes_{drain, gate, source, bulk}, card_(std::move(card)),
       geometry_(geometry) {
   if (!card_) throw InvalidInputError("Mosfet " + this->name() + ": null model card");
+  card_consts_ = cardConstants(*card_);
 }
 
 const MosOperating& Mosfet::operating(double temperature) const {
@@ -299,7 +303,7 @@ double Mosfet::junctionCap(double v, double c0) const {
   if (v < v_knee) {
     return c0 / std::pow(1.0 - v / m.pb, m.mj);
   }
-  const double c_knee = c0 / std::pow(1.0 - m.fc, m.mj);
+  const double c_knee = c0 / card_consts_.knee_pow;
   const double slope = c_knee * m.mj / (m.pb * (1.0 - m.fc));
   return c_knee + slope * (v - v_knee);
 }
@@ -446,10 +450,10 @@ void Mosfet::stampDeviceBatch(std::span<Device* const> devs, std::span<const uin
 
   // --- gather device SoA (AoS state -> lanes across devices) ----------
   Mosfet* mos[kMaxLanes];
-  double vt[kMaxLanes] = {}, beta[kMaxLanes] = {};
-  double w_eff[kMaxLanes] = {}, l_eff[kMaxLanes] = {}, l_gate[kMaxLanes] = {};
-  double jarea[2][kMaxLanes] = {}, jc0[2][kMaxLanes] = {};
-  double vd0[kMaxLanes] = {}, vg0[kMaxLanes] = {}, vs0[kMaxLanes] = {}, vb0[kMaxLanes] = {};
+  double vt[kMaxLanes], beta[kMaxLanes];
+  double w_eff[kMaxLanes], l_eff[kMaxLanes], l_gate[kMaxLanes];
+  double jarea[2][kMaxLanes], jc0[2][kMaxLanes];
+  double vd0[kMaxLanes], vg0[kMaxLanes], vs0[kMaxLanes], vb0[kMaxLanes];
   for (size_t l = 0; l < K; ++l) {
     mos[l] = static_cast<Mosfet*>(devs[l]);
     const MosOperating& op = mos[l]->operating(ctx.temperature);
@@ -469,8 +473,9 @@ void Mosfet::stampDeviceBatch(std::span<Device* const> devs, std::span<const uin
     vb0[l] = ctx.v(mos[l]->nodes_[kB]);
   }
   const LaneParams params{vt, beta, w_eff, l_eff, l_gate, {jarea[0], jarea[1]}, {jc0[0], jc0[1]}};
-  LaneEval ev{};
-  evalLanes(*card_, K, ctx.temperature, params, {vd0, vg0, vs0, vb0}, /*dc=*/true, tran, ev);
+  LaneEval ev;
+  evalLanes(*card_, card_consts_, K, ctx.temperature, params, {vd0, vg0, vs0, vb0}, /*dc=*/true,
+            tran, ev);
 
   // --- per-device emission, mirroring stamp()'s exact call order ------
   for (size_t l = 0; l < K; ++l) {
@@ -620,13 +625,14 @@ void Mosfet::stampLanes(LaneStamper& stamper, const LaneContext& ctx,
                         DeviceLaneState* state) {
   auto& st = static_cast<MosfetLaneState&>(*state);
   resolveLaneDerived(st, ctx.temperature);
+  st.lane_evaluations += ctx.lanes;
   const NodeId d = nodes_[kD];
   const NodeId g = nodes_[kG];
   const NodeId s_node = nodes_[kS];
   const NodeId b = nodes_[kB];
   const bool tran = ctx.method != IntegrationMethod::None;
-  LaneEval ev{};
-  evalLanes(*card_, ctx.lanes, ctx.temperature, laneParams(st),
+  LaneEval ev;
+  evalLanes(*card_, card_consts_, ctx.lanes, ctx.temperature, laneParams(st),
             {ctx.v(d), ctx.v(g), ctx.v(s_node), ctx.v(b)}, /*dc=*/true, tran, ev);
 
   // --- lane emission, mirroring stamp()'s exact call order ------------
@@ -684,12 +690,13 @@ void Mosfet::startTransientLanes(const LaneContext& ctx, DeviceLaneState* state)
 void Mosfet::acceptStepLanes(const LaneContext& ctx, DeviceLaneState* state) {
   auto& st = static_cast<MosfetLaneState&>(*state);
   resolveLaneDerived(st, ctx.temperature);
+  st.lane_evaluations += ctx.lanes;
   const NodeId d = nodes_[kD];
   const NodeId g = nodes_[kG];
   const NodeId s_node = nodes_[kS];
   const NodeId b = nodes_[kB];
-  LaneEval ev{};
-  evalLanes(*card_, ctx.lanes, ctx.temperature, laneParams(st),
+  LaneEval ev;
+  evalLanes(*card_, card_consts_, ctx.lanes, ctx.temperature, laneParams(st),
             {ctx.v(d), ctx.v(g), ctx.v(s_node), ctx.v(b)}, /*dc=*/false, /*caps=*/true, ev);
   acceptCapLanes(ctx, g, s_node, ev.cgs, st.cap_gs);
   acceptCapLanes(ctx, g, d, ev.cgd, st.cap_gd);

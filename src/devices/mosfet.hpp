@@ -135,6 +135,7 @@ class Mosfet : public Device {
 
   std::array<NodeId, 4> nodes_;  // d, g, s, b
   std::shared_ptr<const MosModelCard> card_;
+  MosCardConstants card_consts_;  // of *card_, fixed at construction
   MosGeometry geometry_;
 
   // Charge histories: gs, gd, gb, bd, bs.

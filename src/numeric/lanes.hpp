@@ -10,6 +10,12 @@
 // exp/log are opaque library calls, which block vectorization of the
 // lane loops; the scalar simulation path keeps std::exp / std::log and
 // stays the reference.
+//
+// A lane loop vectorizes only if every kernel it calls is inlined into
+// it; one out-of-line call leaves the whole loop scalar. GCC's inliner
+// alone declines (it judged fastSoftplus a cold call, too large for
+// the loop body), so every kernel here is [[gnu::always_inline]]. CI
+// checks the devices and circuit archives for call relocations to them.
 #pragma once
 
 #include <bit>
@@ -26,7 +32,7 @@ inline constexpr size_t kMaxLanes = 16;
 
 /// exp(x) for |x| <= ~700, ~2 ulp. Branch-free except for the range
 /// clamp (compiled to min/max); safe inside auto-vectorized lane loops.
-inline double fastExp(double x) {
+[[gnu::always_inline]] inline double fastExp(double x) {
   // Clamp: below -700 the true result underflows to ~0 anyway and above
   // +700 it overflows; callers (softplus/sigmoid/junction limiting)
   // clamp harder than this.
@@ -59,7 +65,7 @@ inline double fastExp(double x) {
 
 /// log(x) for normal positive x, ~2 ulp (Cephes log.c). No checks:
 /// callers guarantee x > 0 (softplus feeds 1 + exp(r) >= 1).
-inline double fastLog(double x) {
+[[gnu::always_inline]] inline double fastLog(double x) {
   const uint64_t bits = std::bit_cast<uint64_t>(x);
   // 32-bit exponent for the same reason as in fastExp: the i32->f64
   // vector convert is SSE2, the i64 one is AVX-512DQ.
@@ -92,7 +98,7 @@ inline double fastLog(double x) {
 
 /// log(1 + y) for y >= 0. Loses relative accuracy below ~1e-16 where
 /// softplus tails are physically negligible; absolute error stays tiny.
-inline double fastLog1p(double y) { return fastLog(1.0 + y); }
+[[gnu::always_inline]] inline double fastLog1p(double y) { return fastLog(1.0 + y); }
 
 /// Softplus value + derivative (sigmoid), matching the branch structure
 /// of Dual softplus / the scalar model code: saturate at |x| > 40.
@@ -101,7 +107,7 @@ struct SoftplusVD {
   double d;  ///< sigmoid(x) = d/dx softplus(x)
 };
 
-inline SoftplusVD fastSoftplus(double x) {
+[[gnu::always_inline]] inline SoftplusVD fastSoftplus(double x) {
   const double xc = x > 40.0 ? 40.0 : (x < -40.0 ? -40.0 : x);
   const double e = fastExp(xc);
   const double mid_v = fastLog1p(e);
@@ -113,7 +119,7 @@ inline SoftplusVD fastSoftplus(double x) {
 }
 
 /// sigmoid(x) with the same +-40 clamp the scalar device code uses.
-inline double fastSigmoid(double x) {
+[[gnu::always_inline]] inline double fastSigmoid(double x) {
   const double xc = x > 40.0 ? 40.0 : (x < -40.0 ? -40.0 : x);
   const double e = fastExp(-xc);
   return 1.0 / (1.0 + e);
@@ -121,7 +127,7 @@ inline double fastSigmoid(double x) {
 
 /// tanh(x), clamped (exact saturation beyond |x| > 20 at double
 /// precision).
-inline double fastTanh(double x) {
+[[gnu::always_inline]] inline double fastTanh(double x) {
   const double xc = x > 20.0 ? 20.0 : (x < -20.0 ? -20.0 : x);
   const double e2 = fastExp(2.0 * xc);
   return (e2 - 1.0) / (e2 + 1.0);

@@ -469,17 +469,21 @@ void EnsembleSimulator::transient(double t_stop, double dt_max, double dt_initia
   rejected_steps_ = steps.rejectedSteps();
 }
 
-std::vector<double> EnsembleSimulator::laneSolution(size_t step, size_t l) const {
-  const std::vector<double>& soa = data_[step];
-  std::vector<double> x(num_unknowns_);
-  for (size_t i = 0; i < num_unknowns_; ++i) x[i] = soa[i * lanes_ + l];
-  return x;
+size_t EnsembleSimulator::laneEvaluations() const {
+  size_t n = 0;
+  for (const DeviceLaneState* st : state_ptrs_) {
+    if (st) n += st->lane_evaluations;
+  }
+  return n;
 }
 
 TransientResult EnsembleSimulator::laneResult(size_t l) const {
   TransientResult result(circuit_.nodeNames(), num_unknowns_);
+  result.reserve(time_.size());
   for (size_t step = 0; step < time_.size(); ++step) {
-    result.append(time_[step], laneSolution(step, l));
+    const std::vector<double>& soa = data_[step];
+    std::vector<double>& x = result.appendStep(time_[step]);
+    for (size_t i = 0; i < num_unknowns_; ++i) x[i] = soa[i * lanes_ + l];
   }
   result.total_newton_iterations = total_newton_iterations_;
   result.rejected_steps = rejected_steps_;

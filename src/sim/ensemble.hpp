@@ -95,8 +95,6 @@ class EnsembleSimulator {
   const std::vector<double>& time() const { return time_; }
   /// SoA solution snapshot at an accepted step.
   const std::vector<double>& solutionSoA(size_t step) const { return data_[step]; }
-  /// Lane l's solution vector (AoS) at an accepted step.
-  std::vector<double> laneSolution(size_t step, size_t l) const;
   /// Lane l's full run gathered into a scalar-compatible result.
   TransientResult laneResult(size_t l) const;
 
@@ -105,6 +103,9 @@ class EnsembleSimulator {
   /// Device model evaluations skipped by bypass (SimOptions::enable_bypass;
   /// a device counts once per Newton iteration it sat quiet in all lanes).
   size_t bypassedEvaluations() const { return assembler_.bypassedEvaluations(); }
+  /// Lane model evaluations over every solve this ensemble has run
+  /// (DeviceLaneState::lane_evaluations summed over the devices).
+  size_t laneEvaluations() const;
   /// Phase wall-time attribution over every solve this ensemble has run
   /// (see SimPhaseTimes; model_eval_sec reads 0, the lane assembler
   /// evaluates and scatters in one pass).

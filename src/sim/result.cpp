@@ -14,6 +14,16 @@ void TransientResult::append(double time, const std::vector<double>& x) {
   data_.push_back(x);
 }
 
+std::vector<double>& TransientResult::appendStep(double time) {
+  time_.push_back(time);
+  return data_.emplace_back(num_unknowns_, 0.0);
+}
+
+void TransientResult::reserve(size_t steps) {
+  time_.reserve(steps);
+  data_.reserve(steps);
+}
+
 Signal TransientResult::node(const std::string& name) const {
   Signal s;
   s.time = time_;

@@ -45,6 +45,11 @@ class TransientResult {
   TransientResult(std::vector<std::string> node_names, size_t num_unknowns);
 
   void append(double time, const std::vector<double>& x);
+  /// Appends a time point and returns its stored solution vector
+  /// (numUnknowns() zeros) for the caller to fill in place.
+  std::vector<double>& appendStep(double time);
+  /// Reserves room for `steps` time points.
+  void reserve(size_t steps);
 
   size_t steps() const { return time_.size(); }
   const std::vector<double>& time() const { return time_; }

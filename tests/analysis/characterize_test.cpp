@@ -173,11 +173,13 @@ TEST(Characterize, FarmInvariantUnderThreadCount) {
     EXPECT_GT(a.rejected_steps, 0u) << "task " << i;
     EXPECT_GT(a.newton_iterations, 0u) << "task " << i;
     EXPECT_GT(a.bypassed_evaluations, 0u) << "task " << i;
+    EXPECT_GT(a.lane_evaluations, 0u) << "task " << i;
     EXPECT_GT(a.phase_times.assembly_sec, 0.0) << "task " << i;
     EXPECT_EQ(a.steps, b.steps) << "task " << i;
     EXPECT_EQ(a.rejected_steps, b.rejected_steps) << "task " << i;
     EXPECT_EQ(a.newton_iterations, b.newton_iterations) << "task " << i;
     EXPECT_EQ(a.bypassed_evaluations, b.bypassed_evaluations) << "task " << i;
+    EXPECT_EQ(a.lane_evaluations, b.lane_evaluations) << "task " << i;
   }
   EXPECT_EQ(t1[0].kind, ShifterKind::Sstvs);
   EXPECT_EQ(t1[1].kind, ShifterKind::InverterOnly);
@@ -380,8 +382,8 @@ TEST(CharFarmResilience, IncompatibleCheckpointRejected) {
 }
 
 TEST(CharFarmResilience, OldPayloadVersionRejected) {
-  // A farm checkpoint of payload sub-version 1 cannot seed the
-  // per-unit layout of sub-version 2.
+  // A farm checkpoint of an older payload sub-version cannot seed the
+  // current per-unit layout.
   ScopedCkpt f("test_farm_v1.vlsckpt");
   CheckpointWriter fingerprint;
   fingerprint.u32(1);

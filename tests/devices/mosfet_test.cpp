@@ -363,5 +363,138 @@ TEST(Mosfet, DeviceBatchAndLaneStampsAreBitIdentical) {
   }
 }
 
+/// One (geometry, bias) case of the lane-width test: terminal voltages
+/// {d, g, s} (bulk 0) ramp from `v0` by `dv` per step.
+struct LaneCase {
+  MosGeometry geom;
+  std::array<double, 3> v0;
+  std::array<double, 3> dv;
+};
+
+/// Bit patterns of every value one Mosfet's lane kernel produces for
+/// lane l when it carries cases[lane_case[l]]: the stamp op values of
+/// two trapezoidal stamps around one accepted step, then the five
+/// charge histories acceptStepLanes committed.
+std::vector<std::vector<uint64_t>> laneKernelTrace(const MosModelRef& card,
+                                                   const std::vector<LaneCase>& cases,
+                                                   const std::vector<size_t>& lane_case) {
+  const size_t K = lane_case.size();
+  Circuit c;
+  std::array<NodeId, 4> n{};
+  for (size_t t = 0; t < 4; ++t) n[t] = c.node("t" + std::to_string(t));
+  Mosfet& fet = c.add<Mosfet>("m", n[0], n[1], n[2], n[3], card, MosGeometry{});
+  EXPECT_EQ(c.assignBranchIndices(), 0u);
+  std::unique_ptr<DeviceLaneState> state = fet.createLaneState(K);
+  auto& mst = static_cast<MosfetLaneState&>(*state);
+  for (size_t l = 0; l < K; ++l) mst.setGeometry(l, cases[lane_case[l]].geom);
+
+  const std::vector<double> zeros(K, 0.0);
+  std::array<std::vector<double>, 3> xs;
+  std::array<LaneContext, 3> ctx;
+  for (size_t step = 0; step < 3; ++step) {
+    xs[step].assign(c.nodeCount() * K, 0.0);
+    for (size_t l = 0; l < K; ++l) {
+      const LaneCase& lc = cases[lane_case[l]];
+      for (size_t t = 0; t < 3; ++t) {
+        xs[step][static_cast<size_t>(n[t]) * K + l] =
+            card->sign() * (lc.v0[t] + static_cast<double>(step) * lc.dv[t]);
+      }
+    }
+    ctx[step].x = xs[step];
+    ctx[step].zero = zeros.data();
+    ctx[step].lanes = K;
+    ctx[step].dt = 2e-12;
+    ctx[step].method = IntegrationMethod::Trapezoidal;
+  }
+
+  std::vector<std::vector<uint64_t>> trace(K);
+  EnsembleSystem sys(c.nodeCount(), 0, K);
+  const auto stamp = [&](const LaneContext& at) {
+    LaneTape tape;
+    tape.beginRecording(&sys, c.revision(), 1, K);
+    LaneStamper stamper(sys);
+    stamper.startRecording(tape);
+    tape.beginDevice();
+    fet.stampLanes(stamper, at, state.get());
+    tape.endDevice();
+    for (size_t i = 0; i < tape.opCount(); ++i) {
+      for (size_t l = 0; l < K; ++l) {
+        trace[l].push_back(std::bit_cast<uint64_t>(tape.opLanes(i)[l]));
+      }
+    }
+  };
+  fet.startTransientLanes(ctx[0], state.get());
+  stamp(ctx[1]);
+  fet.acceptStepLanes(ctx[1], state.get());
+  stamp(ctx[2]);
+  for (const MosfetLaneState::CapLanes* cap :
+       {&mst.cap_gs, &mst.cap_gd, &mst.cap_gb, &mst.cap_bd, &mst.cap_bs}) {
+    for (size_t l = 0; l < K; ++l) {
+      for (double v : {cap->q[l], cap->i[l], cap->v_prev[l]}) {
+        trace[l].push_back(std::bit_cast<uint64_t>(v));
+      }
+    }
+  }
+  return trace;
+}
+
+TEST(Mosfet, LaneKernelBitIdenticalAcrossWidths) {
+  // The lane loops compile to a full-width vector body plus narrower
+  // and scalar remainders, so which code path evaluates a lane depends
+  // on the batch width and the lane's position in it. Every value a
+  // lane produces must still be bitwise the value of the same case
+  // evaluated alone (K = 1): each case is placed at every lane
+  // position of every width.
+  MosModelCard leaky = *nmos90();
+  leaky.jg = 10.0;  // exercise the gate-leakage branch too
+  const std::array<MosModelRef, 2> cards = {std::make_shared<const MosModelCard>(leaky),
+                                            pmos90()};
+  std::vector<LaneCase> cases(5);
+  // Saturation, triode with a swing across the Meyer partition,
+  // subthreshold with a forward-biased source junction, a reversed
+  // drain, and a deep-off device past the softplus saturation.
+  cases[0].v0 = {1.0, 0.8, 0.0};
+  cases[0].dv = {-0.05, 0.04, 0.0};
+  cases[1].geom.w = 520e-9;
+  cases[1].geom.delta_vt = 0.03;
+  cases[1].v0 = {0.05, 1.2, 0.0};
+  cases[1].dv = {0.03, -0.02, 0.01};
+  cases[2].geom.delta_w = -15e-9;
+  cases[2].geom.delta_l = 4e-9;
+  cases[2].v0 = {0.6, 0.3, -0.9};
+  cases[2].dv = {0.01, 0.02, 0.05};
+  cases[3].geom.area_d = 1e-13;
+  cases[3].geom.area_s = 2e-13;
+  cases[3].v0 = {-0.2, 0.5, 0.4};
+  cases[3].dv = {0.02, 0.0, -0.03};
+  cases[4].geom.l = 180e-9;
+  cases[4].v0 = {1.4, -1.4, 0.0};
+  cases[4].dv = {0.0, 0.01, 0.0};
+
+  for (const MosModelRef& card : cards) {
+    std::vector<std::vector<uint64_t>> alone;
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+      alone.push_back(laneKernelTrace(card, cases, {ci}).front());
+    }
+    for (size_t K : {1, 2, 3, 4, 5, 7, 8, 9, 16}) {
+      for (size_t rot = 0; rot < cases.size(); ++rot) {
+        std::vector<size_t> lane_case(K);
+        for (size_t l = 0; l < K; ++l) lane_case[l] = (l + rot) % cases.size();
+        const std::vector<std::vector<uint64_t>> got = laneKernelTrace(card, cases, lane_case);
+        for (size_t l = 0; l < K; ++l) {
+          const std::vector<uint64_t>& want = alone[lane_case[l]];
+          ASSERT_EQ(got[l].size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[l][i], want[i])
+                << card->name << " K=" << K << " lane " << l << " case " << lane_case[l]
+                << " value " << i << ": " << std::bit_cast<double>(got[l][i]) << " vs "
+                << std::bit_cast<double>(want[i]);
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vls
