@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <span>
 #include <unordered_map>
 
 #include "base/error.hpp"
@@ -13,31 +13,37 @@
 namespace vls {
 namespace {
 
-/// Records the whole circuit into `tape` (write-through), shared by the
-/// serial and sharded assemblers so their record semantics cannot drift.
-void recordTape(AssemblyTape& tape, Stamper& stamper, MnaSystem& system, const Circuit& circuit,
-                const EvalContext& ctx) {
+double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Records the whole circuit into `tape` (write-through, call order),
+/// shared by the serial and sharded assemblers so their record
+/// semantics cannot drift, and compiles the scatter program.
+void recordTape(AssemblyTape& tape, MnaSystem& system, const Circuit& circuit,
+                const EvalContext& ctx, std::span<const uint32_t> device_group = {},
+                size_t parts = 1) {
   tape.beginRecording(&system, circuit.revision());
+  Stamper stamper(system);
   stamper.startRecording(tape);
   for (const auto& dev : circuit.devices()) {
     tape.beginDevice();
     dev->stamp(stamper, ctx);
     for (size_t t = 0; t < dev->terminalCount(); ++t) {
-      tape.recordTerminalVoltage(ctx.v(dev->terminalNode(t)));
+      const double v = ctx.v(dev->terminalNode(t));
+      tape.recordTerminalVoltages(&v);
     }
     tape.endDevice();
   }
-  tape.finishRecording(system.matrix(), system.numNodes());
+  tape.finishRecording(system.matrix(), system.numNodes(), device_group, parts);
 }
 
-/// True when every terminal voltage of device i moved by at most `tol`
-/// since its last linearization — the bypass qualification test.
-bool terminalsQuiet(const Device& dev, const AssemblyTape& tape, const AssemblyTape::Span& sp,
-                    const EvalContext& ctx, double tol) {
-  for (uint32_t t = 0, k = sp.volt_begin; k < sp.volt_end; ++t, ++k) {
-    if (std::fabs(ctx.v(dev.terminalNode(t)) - tape.vLast(k)) > tol) return false;
-  }
-  return true;
+/// Scalar terminal voltages as one-lane runs for bypassDevice.
+auto voltageRuns(const EvalContext& ctx) {
+  static constexpr double kGroundVolts = 0.0;
+  return [&ctx](NodeId n) {
+    return isGround(n) ? &kGroundVolts : ctx.x.data() + static_cast<size_t>(n);
+  };
 }
 
 [[noreturn]] void staleSequence(const Device& dev) {
@@ -57,48 +63,35 @@ void Assembler::assemble(MnaSystem& system, const Circuit& circuit, const EvalCo
   system.clear();
   AssemblyTape& tape = tapeFor(ctx.method);
   const auto& devices = circuit.devices();
-  Stamper stamper(system);
 
   if (!tape.matches(&system, circuit.revision(), devices.size())) {
     // Record: resolve every handle once for this topology + mode.
     ++recordings_;
-    recordTape(tape, stamper, system, circuit, ctx);
+    recordTape(tape, system, circuit, ctx);
   } else {
     ++replays_;
-    // Stored op values only feed replayStored (bypass); with bypass off
-    // the replay loop stays read-only over the tape.
-    stamper.startReplay(tape, /*store_values=*/options.enable_bypass);
-    const bool bypass_active = options.enable_bypass && options.allow_bypass_now;
-    // Terminal-voltage tracking is bypass bookkeeping. While bypass is
-    // disabled the snapshots are left stale — harmless, because the
-    // forced full evaluations at the start of every bypass-enabled
-    // Newton solve refresh them before any bypass decision is taken.
-    const bool track_voltages = options.enable_bypass;
+    const auto t0 = std::chrono::steady_clock::now();
+    Stamper stamper(system);
+    stamper.startReplay(tape);
     for (size_t i = 0; i < devices.size(); ++i) {
       Device& dev = *devices[i];
       const AssemblyTape::Span& sp = tape.span(i);
-      if (bypass_active && dev.supportsBypass() &&
-          terminalsQuiet(dev, tape, sp, ctx, options.bypass_tol)) {
+      if (bypassDevice(dev, tape, sp, options, voltageRuns(ctx))) {
         ++bypassed_;
-        tape.replayStored(i, system.matrix(), system.rhs());
         continue;
       }
       stamper.seek(sp.op_begin);
       dev.stamp(stamper, ctx);
       if (stamper.cursor() != sp.op_end) staleSequence(dev);
-      if (track_voltages) {
-        for (uint32_t t = 0, k = sp.volt_begin; k < sp.volt_end; ++t, ++k) {
-          tape.setVLast(k, ctx.v(dev.terminalNode(t)));
-        }
-      }
     }
+    model_eval_sec_ += secondsSince(t0);
+    tape.scatter(0, system.matrix().values(), system.rhs().data());
   }
 
   // gmin from every node to ground, through the cached diagonal
   // handles: keeps floating nodes solvable and Newton matrices
   // nonsingular in cutoff.
-  SparseMatrix& matrix = system.matrix();
-  for (const size_t h : tape.gminHandles()) matrix.addAt(h, ctx.gmin);
+  tape.addGmin(system.matrix().values(), ctx.gmin);
 }
 
 void assembleDirect(MnaSystem& system, const Circuit& circuit, const EvalContext& ctx) {
@@ -110,63 +103,6 @@ void assembleDirect(MnaSystem& system, const Circuit& circuit, const EvalContext
   }
 }
 
-namespace {
-
-/// One flattened scalar write of a TapeOp: value = coeff (unit entries
-/// of a voltage branch) or coeff * the op's captured scalar. `target`
-/// is a matrix value handle / absolute RHS index in the direct list, a
-/// per-shard scratch slot in the border list.
-struct TapeWrite {
-  uint32_t op = 0;
-  uint32_t target = 0;
-  double coeff = 1.0;
-  uint8_t is_matrix = 0;
-  uint8_t is_const = 0;
-};
-
-/// Enumerates the writes of one op in exactly applyTapeOp's order, so
-/// the flattened apply accumulates bit-identically to serial replay.
-/// fn(is_matrix, target, coeff, is_const).
-template <typename Fn>
-void forEachTapeWrite(const TapeOp& op, Fn&& fn) {
-  constexpr uint32_t kNone = TapeOp::kNone;
-  switch (op.kind) {
-    case TapeOp::Kind::Conductance:
-      if (op.m[0] != kNone) fn(true, op.m[0], 1.0, false);
-      if (op.m[1] != kNone) fn(true, op.m[1], 1.0, false);
-      if (op.m[2] != kNone) {
-        fn(true, op.m[2], -1.0, false);
-        fn(true, op.m[3], -1.0, false);
-      }
-      break;
-    case TapeOp::Kind::CurrentSource:
-      if (op.r[0] != kNone) fn(false, op.r[0], -1.0, false);
-      if (op.r[1] != kNone) fn(false, op.r[1], 1.0, false);
-      break;
-    case TapeOp::Kind::Transconductance:
-      if (op.m[0] != kNone) fn(true, op.m[0], 1.0, false);
-      if (op.m[1] != kNone) fn(true, op.m[1], -1.0, false);
-      if (op.m[2] != kNone) fn(true, op.m[2], -1.0, false);
-      if (op.m[3] != kNone) fn(true, op.m[3], 1.0, false);
-      break;
-    case TapeOp::Kind::VoltageBranch:
-      if (op.m[0] != kNone) fn(true, op.m[0], 1.0, true);
-      if (op.m[1] != kNone) fn(true, op.m[1], -1.0, true);
-      if (op.m[2] != kNone) fn(true, op.m[2], 1.0, true);
-      if (op.m[3] != kNone) fn(true, op.m[3], -1.0, true);
-      fn(false, op.r[0], 1.0, false);  // the branch row always exists
-      break;
-    case TapeOp::Kind::Matrix:
-      if (op.m[0] != kNone) fn(true, op.m[0], 1.0, false);
-      break;
-    case TapeOp::Kind::Rhs:
-      if (op.r[0] != kNone) fn(false, op.r[0], 1.0, false);
-      break;
-  }
-}
-
-}  // namespace
-
 struct ShardedAssembler::Shard {
   /// One evaluation-schedule entry: a run of same-batch-key devices
   /// (batched) or of key-less devices stamped one by one (scalar).
@@ -174,17 +110,8 @@ struct ShardedAssembler::Shard {
     std::vector<uint32_t> devices;  ///< circuit device indices, ascending
     bool batched = false;
   };
-  /// Target of one scratch slot, flushed during the serial reduction.
-  struct Slot {
-    uint32_t target = 0;
-    uint8_t is_matrix = 0;
-  };
 
   std::vector<Group> groups;
-  std::vector<TapeWrite> direct;  ///< targets owned by this shard alone
-  std::vector<TapeWrite> border;  ///< contested targets, via slots
-  std::vector<Slot> slots;
-  std::vector<double> slot_values;
   size_t bypassed = 0;
   size_t batched = 0;
 };
@@ -210,8 +137,7 @@ void ShardedAssembler::invalidate() {
   plan_tran_.reset();
 }
 
-void ShardedAssembler::buildPlan(Plan& plan, const AssemblyTape& tape, const MnaSystem& system,
-                                 const Circuit& circuit) const {
+std::vector<uint32_t> ShardedAssembler::buildPlan(Plan& plan, const Circuit& circuit) const {
   const auto& devices = circuit.devices();
   const size_t n_dev = devices.size();
 
@@ -264,56 +190,7 @@ void ShardedAssembler::buildPlan(Plan& plan, const AssemblyTape& tape, const Mna
     if (inserted) shard.groups.push_back({{}, true});
     shard.groups[it->second].devices.push_back(static_cast<uint32_t>(d));
   }
-
-  // Ownership claim: a matrix entry / RHS row written by exactly one
-  // shard is written directly in the parallel apply pass; anything
-  // contested goes through per-shard scratch slots.
-  constexpr uint32_t kUnclaimed = 0xffffffffu;
-  constexpr uint32_t kContested = 0xfffffffeu;
-  std::vector<uint32_t> matrix_owner(system.matrix().nonZeros(), kUnclaimed);
-  std::vector<uint32_t> rhs_owner(system.size(), kUnclaimed);
-  for (size_t d = 0; d < n_dev; ++d) {
-    const AssemblyTape::Span& sp = tape.span(d);
-    for (uint32_t i = sp.op_begin; i < sp.op_end; ++i) {
-      forEachTapeWrite(tape.op(i), [&](bool is_matrix, uint32_t target, double, bool) {
-        uint32_t& owner = is_matrix ? matrix_owner[target] : rhs_owner[target];
-        if (owner == kUnclaimed) {
-          owner = shard_of[d];
-        } else if (owner != shard_of[d]) {
-          owner = kContested;
-        }
-      });
-    }
-  }
-
-  std::vector<std::unordered_map<uint64_t, uint32_t>> slot_of(plan.shards.size());
-  for (size_t d = 0; d < n_dev; ++d) {
-    const uint32_t s = shard_of[d];
-    Shard& shard = plan.shards[s];
-    const AssemblyTape::Span& sp = tape.span(d);
-    for (uint32_t i = sp.op_begin; i < sp.op_end; ++i) {
-      forEachTapeWrite(tape.op(i), [&](bool is_matrix, uint32_t target, double coeff,
-                                       bool is_const) {
-        TapeWrite w;
-        w.op = i;
-        w.target = target;
-        w.coeff = coeff;
-        w.is_matrix = is_matrix ? 1 : 0;
-        w.is_const = is_const ? 1 : 0;
-        if ((is_matrix ? matrix_owner[target] : rhs_owner[target]) == s) {
-          shard.direct.push_back(w);
-          return;
-        }
-        const uint64_t slot_key = (uint64_t{is_matrix} << 32) | target;
-        auto [it, inserted] = slot_of[s].try_emplace(slot_key,
-                                                     static_cast<uint32_t>(shard.slots.size()));
-        if (inserted) shard.slots.push_back({target, w.is_matrix});
-        w.target = it->second;
-        shard.border.push_back(w);
-      });
-    }
-  }
-  for (Shard& shard : plan.shards) shard.slot_values.assign(shard.slots.size(), 0.0);
+  return shard_of;
 }
 
 void ShardedAssembler::evalShard(Shard& shard, AssemblyTape& tape, MnaSystem& system,
@@ -321,14 +198,12 @@ void ShardedAssembler::evalShard(Shard& shard, AssemblyTape& tape, MnaSystem& sy
                                  const AssemblyOptions& options, int width) const {
   shard.bypassed = 0;
   shard.batched = 0;
-  const bool bypass_active = options.enable_bypass && options.allow_bypass_now;
-  const bool track_voltages = options.enable_bypass;
   const auto& devices = circuit.devices();
 
-  // Capture mode: scalars land in the tape's per-device op spans —
+  // Replay mode: values land in the shard's devices' slab spans —
   // disjoint across shards, so concurrent evaluation is race-free.
   Stamper stamper(system);
-  stamper.startCapture(tape);
+  stamper.startReplay(tape);
 
   Device* batch[kMaxLanes];
   uint32_t op_begin[kMaxLanes];
@@ -346,17 +221,9 @@ void ShardedAssembler::evalShard(Shard& shard, AssemblyTape& tape, MnaSystem& sy
     for (const uint32_t di : group.devices) {
       Device& dev = *devices[di];
       const AssemblyTape::Span& sp = tape.span(di);
-      if (bypass_active && dev.supportsBypass() &&
-          terminalsQuiet(dev, tape, sp, ctx, options.bypass_tol)) {
-        // The apply pass re-applies the stored op values — exactly the
-        // serial replayStored semantics, voltage snapshot untouched.
+      if (bypassDevice(dev, tape, sp, options, voltageRuns(ctx))) {
         ++shard.bypassed;
         continue;
-      }
-      if (track_voltages) {
-        for (uint32_t t = 0, k = sp.volt_begin; k < sp.volt_end; ++t, ++k) {
-          tape.setVLast(k, ctx.v(dev.terminalNode(t)));
-        }
       }
       if (!group.batched) {
         stamper.seek(sp.op_begin);
@@ -373,83 +240,48 @@ void ShardedAssembler::evalShard(Shard& shard, AssemblyTape& tape, MnaSystem& sy
   }
 }
 
-void ShardedAssembler::applyShard(Shard& shard, const AssemblyTape& tape, MnaSystem& system) {
-  SparseMatrix& matrix = system.matrix();
-  std::vector<double>& rhs = system.rhs();
-  for (const TapeWrite& w : shard.direct) {
-    const double v = w.is_const ? w.coeff : w.coeff * tape.opValue(w.op);
-    if (w.is_matrix) {
-      matrix.addAt(w.target, v);
-    } else {
-      rhs[w.target] += v;
-    }
-  }
-  std::fill(shard.slot_values.begin(), shard.slot_values.end(), 0.0);
-  for (const TapeWrite& w : shard.border) {
-    shard.slot_values[w.target] += w.is_const ? w.coeff : w.coeff * tape.opValue(w.op);
-  }
-}
-
 void ShardedAssembler::assemble(MnaSystem& system, const Circuit& circuit, const EvalContext& ctx,
                                 const AssemblyOptions& options) {
   system.clear();
   AssemblyTape& tape = tapeFor(ctx.method);
-  const auto& devices = circuit.devices();
-  SparseMatrix& matrix = system.matrix();
+  Plan& plan = planFor(ctx.method);
+  double* matrix = system.matrix().values();
 
-  if (!tape.matches(&system, circuit.revision(), devices.size())) {
-    // Record serially (write-through, like the serial Assembler), then
-    // derive the shard plan for every later replay.
+  if (!tape.matches(&system, circuit.revision(), circuit.devices().size())) {
+    // Record serially (write-through, like the serial Assembler) with
+    // one scatter group and one target range per shard.
     ++recordings_;
-    Stamper stamper(system);
-    recordTape(tape, stamper, system, circuit, ctx);
-    Plan& plan = planFor(ctx.method);
-    buildPlan(plan, tape, system, circuit);
+    const std::vector<uint32_t> shard_of = buildPlan(plan, circuit);
     last_shard_count_ = plan.shards.size();
-    for (const size_t h : tape.gminHandles()) matrix.addAt(h, ctx.gmin);
+    recordTape(tape, system, circuit, ctx, shard_of, plan.shards.size());
+    tape.addGmin(system.matrix().values(), ctx.gmin);
     return;
   }
 
   ++replays_;
-  Plan& plan = planFor(ctx.method);
   const int width = std::clamp(config_.device_batch_width, 1, static_cast<int>(kMaxLanes));
   ParallelOptions popt;
   popt.num_threads = config_.num_threads;
-  popt.chunk = 1;  // one shard per work item; shards are coarse already
+  popt.chunk = 1;  // one shard / target range per work item; both are coarse
 
-  // Phase 1 — model evaluation (the expensive region, timed for the
-  // bench's phase attribution): capture every non-bypassed device's
-  // scalars into the tape, batched groups K devices per lane-kernel
-  // pass.
+  // Pass 1 — device evaluation into the slab, batched groups K devices
+  // per lane-kernel pass.
   const auto t0 = std::chrono::steady_clock::now();
   parallelForChunked(
       plan.shards.size(),
       [&](size_t s) { evalShard(plan.shards[s], tape, system, circuit, ctx, options, width); },
       popt);
-  model_eval_sec_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  model_eval_sec_ += secondsSince(t0);
 
-  // Phase 2 — parallel apply: shard-owned targets are written
-  // concurrently (disjoint by construction), contested border targets
-  // accumulate into per-shard scratch.
+  // Pass 2 — the scatter, in parallel over disjoint target ranges.
   parallelForChunked(
-      plan.shards.size(), [&](size_t s) { applyShard(plan.shards[s], tape, system); }, popt);
-
-  // Phase 3 — serial reduction in fixed shard order, so contested
-  // targets accumulate bit-identically for every thread count.
-  std::vector<double>& rhs = system.rhs();
-  for (Shard& shard : plan.shards) {
-    for (size_t k = 0; k < shard.slots.size(); ++k) {
-      if (shard.slots[k].is_matrix) {
-        matrix.addAt(shard.slots[k].target, shard.slot_values[k]);
-      } else {
-        rhs[shard.slots[k].target] += shard.slot_values[k];
-      }
-    }
+      tape.scatterParts(), [&](size_t p) { tape.scatter(p, matrix, system.rhs().data()); },
+      popt);
+  for (const Shard& shard : plan.shards) {
     bypassed_ += shard.bypassed;
     batched_ += shard.batched;
   }
-  for (const size_t h : tape.gminHandles()) matrix.addAt(h, ctx.gmin);
+  tape.addGmin(matrix, ctx.gmin);
 }
 
 }  // namespace vls

@@ -1,23 +1,24 @@
 // Stamp-tape assembly engine. The Assembler owns one AssemblyTape per
 // analysis mode (DC vs transient — the two modes stamp different call
 // sequences) for a (circuit, MnaSystem) pairing. The first assembly of
-// a given topology records every device's resolved entry handles; every
-// later assembly replays through those handles with zero hashing, and
-// — when bypass is enabled — devices whose terminal voltages are
-// unchanged since their last linearization replay their stored values
-// without re-evaluating the model at all.
+// a given topology records every device's resolved entry handles and
+// compiles the tape's scatter program; every later assembly is two
+// passes: devices evaluate into the tape's value slab, then one scatter
+// writes the matrix and RHS. With bypass enabled, a device whose
+// terminal voltages are unchanged since its last linearization is not
+// evaluated at all — its slab slice keeps its last values.
 //
-// The ShardedAssembler parallelizes the replay path: the tape is split
-// into per-shard device sets (island partition labels when available,
-// hash fallback otherwise), each shard's devices are linearized on
-// parallelForChunked workers in Stamper Capture mode (values land in
-// the tape, nothing touches the shared matrix), and the captured
-// values are applied through pre-flattened write lists — targets owned
-// by exactly one shard are written concurrently, contested border
-// targets accumulate into per-shard scratch reduced serially in shard
-// order. Results are bit-identical across every thread count.
+// The ShardedAssembler parallelizes both passes: devices are split into
+// shards (island partition labels when available, hash fallback
+// otherwise) evaluated on parallelForChunked workers into their own
+// disjoint slab spans, then the scatter runs in parallel over disjoint
+// target ranges. A target written by several shards sums each shard's
+// writes apart and adds those sums in shard order, so results are
+// bit-identical across every thread count.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -39,6 +40,37 @@ struct AssemblyOptions {
   bool allow_bypass_now = false;
 };
 
+/// Bypass bookkeeping of one replayed device, shared by every
+/// assembler; `voltage(node)` returns the node's tape-lanes-wide
+/// voltage run. True when bypass applies: every terminal voltage moved
+/// at most bypass_tol in every lane since the device's last
+/// linearization, so it need not be evaluated — its slab slice keeps
+/// its last values. Otherwise refreshes its voltage snapshot when
+/// bypass is enabled. While bypass is disabled the snapshots are left
+/// stale — harmless, because the forced full evaluations at the start
+/// of every bypass-enabled Newton solve refresh them before any bypass
+/// decision is taken.
+template <class VoltageRun>
+bool bypassDevice(const Device& dev, AssemblyTape& tape, const AssemblyTape::Span& sp,
+                  const AssemblyOptions& options, VoltageRun&& voltage) {
+  if (!options.enable_bypass) return false;
+  const size_t K = tape.lanes();
+  bool quiet = options.allow_bypass_now && dev.supportsBypass();
+  for (uint32_t t = 0, k = sp.volt_begin; quiet && k < sp.volt_end; ++t, ++k) {
+    const double* v = voltage(dev.terminalNode(t));
+    const double* last = tape.vLast(k);
+    for (size_t l = 0; l < K; ++l) {
+      if (std::fabs(v[l] - last[l]) > options.bypass_tol) quiet = false;
+    }
+  }
+  if (quiet) return true;
+  for (uint32_t t = 0, k = sp.volt_begin; k < sp.volt_end; ++t, ++k) {
+    const double* v = voltage(dev.terminalNode(t));
+    std::copy(v, v + K, tape.vLast(k));
+  }
+  return false;
+}
+
 class Assembler {
  public:
   /// Assemble `circuit` linearized at `ctx` into `system`. Records a
@@ -55,6 +87,9 @@ class Assembler {
   size_t recordings() const { return recordings_; }
   size_t replays() const { return replays_; }
   size_t bypassedEvaluations() const { return bypassed_; }
+  /// Cumulative wall time of the device-evaluation pass across all
+  /// replays — the phase-attribution number the bench reports.
+  double modelEvalSeconds() const { return model_eval_sec_; }
 
  private:
   AssemblyTape& tapeFor(IntegrationMethod method) {
@@ -66,6 +101,7 @@ class Assembler {
   size_t recordings_ = 0;
   size_t replays_ = 0;
   size_t bypassed_ = 0;
+  double model_eval_sec_ = 0.0;
 };
 
 /// One-shot hashed assembly — the reference implementation the tape is
@@ -84,7 +120,7 @@ struct ShardedAssemblyConfig {
   /// 0 derives one shard per ~64 devices (clamped to [1, 64]). Shard
   /// composition never depends on the thread count.
   int num_shards = 0;
-  /// Worker threads for the evaluate/apply regions; 0 = the
+  /// Worker threads for the evaluate/scatter regions; 0 = the
   /// VLS_THREADS pool width (parallelThreadCount()).
   int num_threads = 0;
   /// Devices per batched model evaluation, clamped to [1, kMaxLanes].
@@ -97,7 +133,7 @@ struct ShardedAssemblyConfig {
 /// Parallel replacement for Assembler::assemble with identical
 /// observable semantics on the tape protocol (recording, revision
 /// invalidation, divergence detection, gmin handles, bypass) — see the
-/// file header for the evaluate/apply/reduce structure. Model
+/// file header for the evaluate/scatter structure. Model
 /// evaluation of grouped same-key devices (Device::deviceBatchKey) goes
 /// K-wide through Device::stampDeviceBatch.
 class ShardedAssembler {
@@ -122,7 +158,7 @@ class ShardedAssembler {
   size_t batchedEvaluations() const { return batched_; }
   /// Shards of the most recently built plan.
   size_t shardCount() const { return last_shard_count_; }
-  /// Cumulative wall time of the model-evaluation region across all
+  /// Cumulative wall time of the device-evaluation pass across all
   /// replays — the phase-attribution number the bench reports.
   double modelEvalSeconds() const { return model_eval_sec_; }
 
@@ -135,11 +171,10 @@ class ShardedAssembler {
   }
   Plan& planFor(IntegrationMethod method);
 
-  void buildPlan(Plan& plan, const AssemblyTape& tape, const MnaSystem& system,
-                 const Circuit& circuit) const;
+  /// Builds the shard evaluation schedule and returns each device's shard.
+  std::vector<uint32_t> buildPlan(Plan& plan, const Circuit& circuit) const;
   void evalShard(Shard& shard, AssemblyTape& tape, MnaSystem& system, const Circuit& circuit,
                  const EvalContext& ctx, const AssemblyOptions& options, int width) const;
-  static void applyShard(Shard& shard, const AssemblyTape& tape, MnaSystem& system);
 
   ShardedAssemblyConfig config_;
   AssemblyTape tape_dc_;

@@ -141,10 +141,12 @@ class Device {
 
   /// Evaluate a batch of same-key devices (`this` is devs.front()) at
   /// ctx and emit every device's stamp sequence through `stamper`,
-  /// which is consuming a recorded tape: implementations must
-  /// stamper.seek(op_begin[i]) before device i's stamps and leave the
-  /// cursor exactly at op_end[i] — a mismatch means the stamp sequence
-  /// changed without a topology revision bump and must throw. The base
+  /// which is replaying a recorded tape (each call fills its op's slab
+  /// value; the assembler's scatter writes the matrix later):
+  /// implementations must stamper.seek(op_begin[i]) before device i's
+  /// stamps and leave the cursor exactly at op_end[i] — a mismatch
+  /// means the stamp sequence changed without a topology revision bump
+  /// and must throw. The base
   /// implementation evaluates each device through scalar stamp();
   /// devices with SoA lane kernels override it to evaluate the whole
   /// batch per model-card pass. Must produce identical values for

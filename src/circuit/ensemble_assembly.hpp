@@ -4,11 +4,12 @@
 // stamps all K Monte-Carlo variants of itself in one pass through the
 // LaneStamper.
 //
-// The LaneStamper reuses the scalar TapeOp record/replay protocol with
-// lane stride: record mode resolves LaneMatrix handles once per
-// topology revision, replay mode applies double[K] value runs through
-// the cached handles — no hash lookups or ground checks in the ensemble
-// Newton inner loop.
+// The lane engine runs the scalar engine's stamp program K lanes wide:
+// the AssemblyTape is recorded with lane stride (record mode resolves
+// LaneMatrix handles once per topology revision), replay mode only
+// fills each op's double[K] run of the value slab, and one scatter
+// pass writes the matrix and RHS — no hash lookups or ground checks in
+// the ensemble Newton inner loop.
 #pragma once
 
 #include <cstdint>
@@ -55,86 +56,6 @@ class EnsembleSystem {
   std::vector<double> rhs_;
 };
 
-/// Recorded lane-stamp sequence for one (system, topology revision,
-/// analysis mode). Besides the resolved TapeOps it keeps the bypass
-/// bookkeeping of the scalar AssemblyTape, widened to lane stride:
-/// per-device op/terminal spans, each op's last fully-evaluated
-/// double[lanes] value run, and per-terminal double[lanes] voltage
-/// snapshots — enough to re-apply a quiet device's contribution
-/// without re-evaluating its model in any lane.
-class LaneTape {
- public:
-  /// Per-device slice of the tape (indexed by circuit device order).
-  struct Span {
-    uint32_t op_begin = 0;
-    uint32_t op_end = 0;
-    uint32_t volt_begin = 0;
-    uint32_t volt_end = 0;
-  };
-
-  bool matches(const void* system_key, uint64_t revision, size_t device_count) const {
-    return recorded_ && system_key_ == system_key && revision_ == revision &&
-           device_count_ == device_count;
-  }
-  void beginRecording(const void* system_key, uint64_t revision, size_t device_count,
-                      size_t lanes) {
-    ops_.clear();
-    op_values_.clear();
-    spans_.clear();
-    v_last_.clear();
-    gmin_handles_.clear();
-    system_key_ = system_key;
-    revision_ = revision;
-    device_count_ = device_count;
-    lanes_ = lanes;
-    recorded_ = false;
-  }
-  void finishRecording(LaneMatrix& matrix, size_t num_nodes) {
-    gmin_handles_.resize(num_nodes);
-    for (size_t n = 0; n < num_nodes; ++n) gmin_handles_[n] = matrix.entryHandle(n, n);
-    recorded_ = true;
-  }
-  void beginDevice() {
-    current_.op_begin = static_cast<uint32_t>(ops_.size());
-    current_.volt_begin = static_cast<uint32_t>(v_last_.size() / lanes_);
-  }
-  void endDevice() {
-    current_.op_end = static_cast<uint32_t>(ops_.size());
-    current_.volt_end = static_cast<uint32_t>(v_last_.size() / lanes_);
-    spans_.push_back(current_);
-  }
-  /// Snapshot one terminal's double[lanes] voltage run.
-  void recordTerminalVoltages(const double* v) { v_last_.insert(v_last_.end(), v, v + lanes_); }
-  void pushOp(const TapeOp& op) {
-    ops_.push_back(op);
-    op_values_.resize(op_values_.size() + lanes_, 0.0);
-  }
-  size_t opCount() const { return ops_.size(); }
-  size_t lanes() const { return lanes_; }
-  const TapeOp& op(size_t i) const { return ops_[i]; }
-  const Span& span(size_t device) const { return spans_[device]; }
-  /// Op i's effective per-lane values as of the last full evaluation.
-  double* opLanes(size_t i) { return op_values_.data() + i * lanes_; }
-  const double* opLanes(size_t i) const { return op_values_.data() + i * lanes_; }
-  /// Terminal snapshot k's double[lanes] run (k in a device's volt span).
-  double* vLast(size_t k) { return v_last_.data() + k * lanes_; }
-  const double* vLast(size_t k) const { return v_last_.data() + k * lanes_; }
-  const std::vector<size_t>& gminHandles() const { return gmin_handles_; }
-
- private:
-  std::vector<TapeOp> ops_;
-  std::vector<double> op_values_;  ///< opCount * lanes effective values
-  std::vector<Span> spans_;        ///< one per device, circuit order
-  std::vector<double> v_last_;     ///< terminal snapshots * lanes
-  Span current_{};
-  std::vector<size_t> gmin_handles_;
-  const void* system_key_ = nullptr;
-  uint64_t revision_ = 0;
-  size_t device_count_ = 0;
-  size_t lanes_ = 1;
-  bool recorded_ = false;
-};
-
 /// Device-facing lane stamping interface. Value parameters are either
 /// contiguous double[lanes] arrays (one value per Monte-Carlo variant)
 /// or uniform scalars broadcast to every lane (lane-invariant stamps:
@@ -144,55 +65,63 @@ class LaneStamper {
  public:
   explicit LaneStamper(EnsembleSystem& system) : sys_(system) {}
 
-  void conductance(NodeId a, NodeId b, const double* g);
-  void conductanceUniform(NodeId a, NodeId b, double g);
-  void currentSource(NodeId a, NodeId b, const double* i);
-  void currentSourceUniform(NodeId a, NodeId b, double i);
-  void voltageBranch(size_t branch_index, NodeId plus, NodeId minus, const double* v_values);
-  void voltageBranchUniform(size_t branch_index, NodeId plus, NodeId minus, double v_value);
+  void conductance(NodeId a, NodeId b, const double* g) {
+    stamp(TapeOp::Kind::Conductance, g, 0.0, 1.0, nodeIndex(a), nodeIndex(b));
+  }
+  void conductanceUniform(NodeId a, NodeId b, double g) {
+    stamp(TapeOp::Kind::Conductance, nullptr, g, 1.0, nodeIndex(a), nodeIndex(b));
+  }
+  void currentSource(NodeId a, NodeId b, const double* i) {
+    stamp(TapeOp::Kind::CurrentSource, i, 0.0, 1.0, nodeIndex(a), nodeIndex(b));
+  }
+  void currentSourceUniform(NodeId a, NodeId b, double i) {
+    stamp(TapeOp::Kind::CurrentSource, nullptr, i, 1.0, nodeIndex(a), nodeIndex(b));
+  }
+  void voltageBranch(size_t branch_index, NodeId plus, NodeId minus, const double* v_values) {
+    stamp(TapeOp::Kind::VoltageBranch, v_values, 0.0, 1.0, nodeIndex(plus), nodeIndex(minus),
+          static_cast<int>(branch_index));
+  }
+  void voltageBranchUniform(size_t branch_index, NodeId plus, NodeId minus, double v_value) {
+    stamp(TapeOp::Kind::VoltageBranch, nullptr, v_value, 1.0, nodeIndex(plus), nodeIndex(minus),
+          static_cast<int>(branch_index));
+  }
   /// Raw entry accumulation: value[l] * scale into (row, col) lane l.
-  void addMatrix(int row, int col, const double* value, double scale = 1.0);
-  void addMatrixUniform(int row, int col, double value);
-  void addRhs(int row, const double* value, double scale = 1.0);
-  void addRhsUniform(int row, double value);
+  void addMatrix(int row, int col, const double* value, double scale = 1.0) {
+    stamp(TapeOp::Kind::Matrix, value, 0.0, scale, row, col);
+  }
+  void addMatrixUniform(int row, int col, double value) {
+    stamp(TapeOp::Kind::Matrix, nullptr, value, 1.0, row, col);
+  }
+  void addRhs(int row, const double* value, double scale = 1.0) {
+    stamp(TapeOp::Kind::Rhs, value, 0.0, scale, row);
+  }
+  void addRhsUniform(int row, double value) { stamp(TapeOp::Kind::Rhs, nullptr, value, 1.0, row); }
 
   int nodeIndex(NodeId n) const { return isGround(n) ? -1 : n; }
   size_t lanes() const { return sys_.lanes(); }
   size_t numNodes() const { return sys_.numNodes(); }
 
   // --- tape protocol (driven by the EnsembleAssembler) ---------------
-  void startRecording(LaneTape& tape);
-  /// store_values mirrors the per-lane effective value of every replayed
-  /// op into the tape — required whenever replayStored may later re-apply
-  /// them (bypass), pure overhead otherwise.
-  void startReplay(LaneTape& tape, bool store_values = false);
-  /// Jump the replay cursor to an absolute op index (bypass skips).
+  /// Record mode: every call resolves handles once, appends a TapeOp to
+  /// `tape` (recorded with lanes() stride) and writes through.
+  void startRecording(AssemblyTape& tape);
+  /// Replay mode: calls consume ops from `tape` at the cursor and only
+  /// fill their value runs in its slab.
+  void startReplay(AssemblyTape& tape);
+  /// Jump the replay cursor to an absolute op index.
   void seek(size_t op_index) { cursor_ = op_index; }
-  /// Re-apply ops [op_begin, op_end) from their stored per-lane values
-  /// (no device evaluation) and leave the cursor at op_end.
-  void replayStored(size_t op_begin, size_t op_end);
   size_t cursor() const { return cursor_; }
 
  private:
-  enum class Mode : uint8_t { Direct, Record, Replay };
-
-  /// m[0..1] += v, m[2..3] -= v (per lane; scale applied).
-  void applyConductance(const TapeOp& op, const double* g, double uniform, double scale);
-  void applyCurrentSource(const TapeOp& op, const double* i, double uniform, double scale);
-  void applyVoltageBranch(const TapeOp& op, const double* v, double uniform);
-  void applyMatrix(const TapeOp& op, const double* v, double uniform, double scale);
-  void applyRhs(const TapeOp& op, const double* v, double uniform, double scale);
-  const TapeOp& nextOp(TapeOp::Kind kind);
-  /// Write op_index's effective per-lane values (scale * v[l], or the
-  /// broadcast scale * uniform) into the tape and return the slot.
-  const double* fillSlot(size_t op_index, const double* v, double uniform, double scale);
-  /// True when this stamp call must mirror values into the tape.
-  bool storing() const { return mode_ == Mode::Record || store_values_; }
+  /// The one path of every stamp call: the value run is v[l] * scale,
+  /// or the broadcast uniform * scale when v is null. Node arguments as
+  /// in resolveOp.
+  void stamp(TapeOp::Kind kind, const double* v, double uniform, double scale, int a,
+             int b = -1, int c = -1);
 
   EnsembleSystem& sys_;
-  LaneTape* tape_ = nullptr;
-  Mode mode_ = Mode::Direct;
-  bool store_values_ = false;
+  AssemblyTape* tape_ = nullptr;
+  bool recording_ = false;
   size_t cursor_ = 0;
 };
 
@@ -203,8 +132,8 @@ class LaneStamper {
 /// With AssemblyOptions bypass enabled, a replay skips the model
 /// evaluation of any bypass-capable device whose terminal voltages
 /// moved at most bypass_tol in EVERY lane since its last full
-/// linearization, re-applying its stored per-lane op values instead —
-/// the scalar Assembler's bypass fast path, lane-widened.
+/// linearization; its slab runs keep their last values — the scalar
+/// Assembler's bypass fast path, lane-widened.
 class EnsembleAssembler {
  public:
   EnsembleAssembler(const Circuit& circuit, EnsembleSystem& system);
@@ -217,13 +146,17 @@ class EnsembleAssembler {
   /// Devices whose model evaluation was skipped by bypass (all lanes
   /// quiet), summed over every replay.
   size_t bypassedEvaluations() const { return bypassed_; }
+  /// Cumulative wall time of the device-evaluation pass across all
+  /// replays.
+  double modelEvalSeconds() const { return model_eval_sec_; }
 
  private:
   const Circuit& circuit_;
   EnsembleSystem& sys_;
-  LaneTape tape_dc_;
-  LaneTape tape_tran_;
+  AssemblyTape tape_dc_;
+  AssemblyTape tape_tran_;
   size_t bypassed_ = 0;
+  double model_eval_sec_ = 0.0;
 };
 
 }  // namespace vls

@@ -1,101 +1,204 @@
 #include "circuit/mna.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "base/error.hpp"
+#include "numeric/lanes.hpp"
 
 namespace vls {
 namespace {
 
-/// Applies one recorded op with scalar `s`. The write order matches the
-/// direct-mode call order exactly, so replayed accumulation is
-/// bit-identical to hashed assembly.
-void applyTapeOp(const TapeOp& op, double s, SparseMatrix& matrix, std::vector<double>& rhs) {
-  constexpr uint32_t kNone = TapeOp::kNone;
+/// Enumerates the writes of one op in Direct-mode call order:
+/// fn(is_rhs, target, constant, sign). A constant write adds `sign`
+/// itself (the unit entries of a voltage branch), any other write adds
+/// sign * the op's value. Always inlined: an out-of-line call takes a
+/// capture block that GCC builds in a ymm register without a following
+/// vzeroupper, which leaves the caller's libm calls (scalar device
+/// models) paying AVX-SSE transition stalls.
+template <typename Fn>
+[[gnu::always_inline]] inline void forEachWrite(const TapeOp& op, Fn&& fn) {
+  const auto m = [&](size_t k, double sign, bool constant) {
+    if (op.m[k] != TapeOp::kNone) fn(false, op.m[k], constant, sign);
+  };
+  const auto r = [&](size_t k, double sign) {
+    if (op.r[k] != TapeOp::kNone) fn(true, op.r[k], false, sign);
+  };
   switch (op.kind) {
     case TapeOp::Kind::Conductance:
-      if (op.m[0] != kNone) matrix.addAt(op.m[0], s);
-      if (op.m[1] != kNone) matrix.addAt(op.m[1], s);
-      if (op.m[2] != kNone) {
-        matrix.addAt(op.m[2], -s);
-        matrix.addAt(op.m[3], -s);
-      }
+      m(0, 1.0, false);
+      m(1, 1.0, false);
+      m(2, -1.0, false);
+      m(3, -1.0, false);
       break;
     case TapeOp::Kind::CurrentSource:
-      if (op.r[0] != kNone) rhs[op.r[0]] -= s;
-      if (op.r[1] != kNone) rhs[op.r[1]] += s;
+      r(0, -1.0);
+      r(1, 1.0);
       break;
     case TapeOp::Kind::Transconductance:
-      if (op.m[0] != kNone) matrix.addAt(op.m[0], s);
-      if (op.m[1] != kNone) matrix.addAt(op.m[1], -s);
-      if (op.m[2] != kNone) matrix.addAt(op.m[2], -s);
-      if (op.m[3] != kNone) matrix.addAt(op.m[3], s);
+      m(0, 1.0, false);
+      m(1, -1.0, false);
+      m(2, -1.0, false);
+      m(3, 1.0, false);
       break;
     case TapeOp::Kind::VoltageBranch:
-      if (op.m[0] != kNone) matrix.addAt(op.m[0], 1.0);
-      if (op.m[1] != kNone) matrix.addAt(op.m[1], -1.0);
-      if (op.m[2] != kNone) matrix.addAt(op.m[2], 1.0);
-      if (op.m[3] != kNone) matrix.addAt(op.m[3], -1.0);
-      rhs[op.r[0]] += s;  // the branch row always exists
+      m(0, 1.0, true);
+      m(1, -1.0, true);
+      m(2, 1.0, true);
+      m(3, -1.0, true);
+      r(0, 1.0);  // the branch row always exists
       break;
     case TapeOp::Kind::Matrix:
-      if (op.m[0] != kNone) matrix.addAt(op.m[0], s);
+      m(0, 1.0, false);
       break;
     case TapeOp::Kind::Rhs:
-      if (op.r[0] != kNone) rhs[op.r[0]] += s;
+      r(0, 1.0);
       break;
   }
 }
 
+[[noreturn]] void tapeDivergence() {
+  throw Error("Stamper: stamp call sequence diverged from the recorded tape "
+              "(stale tape not invalidated?)");
+}
+
 }  // namespace
+
+void applyOpWrites(const TapeOp& op, const double* value, size_t lanes, double* matrix,
+                   double* rhs) {
+  forEachWrite(op, [&](bool is_rhs, uint32_t target, bool constant, double sign) {
+    double* dst = (is_rhs ? rhs : matrix) + size_t{target} * lanes;
+    for (size_t l = 0; l < lanes; ++l) dst[l] += constant ? sign : sign * value[l];
+  });
+}
 
 void MnaSystem::clear() {
   matrix_.clearValues();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
 }
 
-void AssemblyTape::reset() {
-  ops_.clear();
-  op_values_.clear();
-  v_last_.clear();
-  spans_.clear();
-  gmin_handles_.clear();
-  system_key_ = nullptr;
-  revision_ = 0;
-  recorded_ = false;
-}
+void AssemblyTape::reset() { *this = AssemblyTape(); }
 
-void AssemblyTape::beginRecording(const void* system_key, uint64_t revision) {
+void AssemblyTape::beginRecording(const void* system_key, uint64_t revision, size_t lanes) {
+  if (lanes == 0 || lanes > kMaxLanes) {
+    throw InvalidInputError("AssemblyTape: lane count must be in [1, " +
+                            std::to_string(kMaxLanes) + "]");
+  }
   reset();
   system_key_ = system_key;
   revision_ = revision;
+  lanes_ = lanes;
+  slab_.assign(lanes, 1.0);  // slot 0: the constant 1.0 run
 }
 
 void AssemblyTape::beginDevice() {
   Span span;
   span.op_begin = static_cast<uint32_t>(ops_.size());
   span.op_end = span.op_begin;
-  span.volt_begin = static_cast<uint32_t>(v_last_.size());
+  span.volt_begin = static_cast<uint32_t>(v_last_.size() / lanes_);
   span.volt_end = span.volt_begin;
   spans_.push_back(span);
 }
 
 void AssemblyTape::endDevice() {
   spans_.back().op_end = static_cast<uint32_t>(ops_.size());
-  spans_.back().volt_end = static_cast<uint32_t>(v_last_.size());
+  spans_.back().volt_end = static_cast<uint32_t>(v_last_.size() / lanes_);
 }
 
-void AssemblyTape::finishRecording(SparseMatrix& matrix, size_t num_nodes) {
-  gmin_handles_.resize(num_nodes);
-  for (size_t n = 0; n < num_nodes; ++n) gmin_handles_[n] = matrix.entryHandle(n, n);
-  recorded_ = true;
+double* AssemblyTape::pushOp(const TapeOp& op) {
+  ops_.push_back(op);
+  for (size_t l = 0; l < lanes_; ++l) slab_.push_back(0.0);
+  return opValues(ops_.size() - 1);
 }
 
-void AssemblyTape::replayStored(size_t device, SparseMatrix& matrix,
-                                std::vector<double>& rhs) const {
-  const Span& sp = spans_[device];
-  for (uint32_t i = sp.op_begin; i < sp.op_end; ++i) {
-    applyTapeOp(ops_[i], op_values_[i], matrix, rhs);
+void AssemblyTape::compile(std::span<const uint32_t> device_group, size_t parts,
+                           size_t matrix_targets, size_t rhs_targets) {
+  // A stable counting sort buckets the writes by target key (matrix
+  // handles, then RHS rows). Generating them device by device in
+  // (group, circuit) order leaves every bucket in (group, op, write)
+  // order.
+  const auto group = [&](uint32_t d) { return device_group.empty() ? 0u : device_group[d]; };
+  std::vector<uint32_t> devices(spans_.size());
+  std::iota(devices.begin(), devices.end(), 0u);
+  if (!device_group.empty()) {
+    std::stable_sort(devices.begin(), devices.end(),
+                     [&](uint32_t x, uint32_t y) { return group(x) < group(y); });
+  }
+  const auto forEachProgramWrite = [&](auto&& fn) {
+    for (const uint32_t d : devices) {
+      for (uint32_t i = spans_[d].op_begin; i < spans_[d].op_end; ++i) {
+        forEachWrite(ops_[i], [&](bool is_rhs, uint32_t target, bool constant, double sign) {
+          fn(group(d), (is_rhs ? matrix_targets : 0) + target, Entry{sign, constant ? 0 : i + 1});
+        });
+      }
+    }
+  };
+  std::vector<uint32_t> next(matrix_targets + rhs_targets + 1, 0);
+  forEachProgramWrite([&](uint32_t, size_t key, const Entry&) { ++next[key + 1]; });
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  entries_.resize(next.back());
+  std::vector<uint32_t> entry_group(entries_.size());
+  forEachProgramWrite([&](uint32_t g, size_t key, const Entry& entry) {
+    const uint32_t pos = next[key]++;
+    entries_[pos] = entry;
+    entry_group[pos] = g;
+  });
+
+  // next[key] is now the end of bucket key; cut it into one run per
+  // group.
+  runs_.clear();
+  matrix_runs_ = 0;
+  uint32_t begin = 0;
+  for (size_t key = 0; key < matrix_targets + rhs_targets; ++key) {
+    const auto target = static_cast<uint32_t>(key < matrix_targets ? key : key - matrix_targets);
+    for (uint32_t e = begin; e < next[key]; ++e) {
+      if (e + 1 == next[key] || entry_group[e + 1] != entry_group[e]) runs_.push_back({target, e + 1});
+    }
+    begin = next[key];
+    if (key + 1 == matrix_targets) matrix_runs_ = runs_.size();
+  }
+
+  // Parts of about equal entry count; a target's runs never straddle
+  // two parts, so every target is summed by exactly one worker.
+  part_begin_.assign(1, 0);
+  for (size_t r = 1; r < runs_.size() && part_begin_.size() < parts; ++r) {
+    const bool same_target =
+        runs_[r].target == runs_[r - 1].target && (r < matrix_runs_) == (r - 1 < matrix_runs_);
+    if (!same_target && runs_[r - 1].end * parts >= entries_.size() * part_begin_.size()) {
+      part_begin_.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  part_begin_.push_back(static_cast<uint32_t>(runs_.size()));
+}
+
+void AssemblyTape::scatter(size_t part, double* matrix, double* rhs) const {
+  const size_t K = lanes_;
+  const double* slab = slab_.data();
+  const size_t first = part_begin_[part];
+  uint32_t e = first == 0 ? 0 : runs_[first - 1].end;
+  for (size_t r = first; r < part_begin_[part + 1]; ++r) {
+    const Run& run = runs_[r];
+    double* dst = (r < matrix_runs_ ? matrix : rhs) + size_t{run.target} * K;
+    if (K == 1) {
+      double sum = 0.0;
+      for (; e < run.end; ++e) sum += entries_[e].sign * slab[entries_[e].slot];
+      *dst += sum;
+      continue;
+    }
+    double sum[kMaxLanes];
+    std::fill_n(sum, K, 0.0);
+    for (; e < run.end; ++e) {
+      const double sign = entries_[e].sign;
+      const double* v = slab + size_t{entries_[e].slot} * K;
+      for (size_t l = 0; l < K; ++l) sum[l] += sign * v[l];
+    }
+    for (size_t l = 0; l < K; ++l) dst[l] += sum[l];
+  }
+}
+
+void AssemblyTape::addGmin(double* matrix, double gmin) const {
+  for (const size_t h : gmin_handles_) {
+    for (size_t l = 0; l < lanes_; ++l) matrix[h * lanes_ + l] += gmin;
   }
 }
 
@@ -105,180 +208,21 @@ void Stamper::startRecording(AssemblyTape& tape) {
   cursor_ = 0;
 }
 
-void Stamper::startReplay(AssemblyTape& tape, bool store_values) {
+void Stamper::startReplay(AssemblyTape& tape) {
   tape_ = &tape;
   mode_ = Mode::Replay;
-  store_values_ = store_values;
   cursor_ = 0;
 }
 
-void Stamper::startCapture(AssemblyTape& tape) {
-  tape_ = &tape;
-  mode_ = Mode::Capture;
-  cursor_ = 0;
-}
-
-void Stamper::recordOp(const TapeOp& op, double value) {
-  tape_->pushOp(op, value);
-  applyTapeOp(op, value, sys_.matrix(), sys_.rhs());
-}
-
-namespace {
-[[noreturn]] void tapeDivergence() {
-  throw Error("Stamper: stamp call sequence diverged from the recorded tape "
-              "(stale tape not invalidated?)");
-}
-}  // namespace
-
-void Stamper::replayOp(TapeOp::Kind kind, double value) {
-  if (cursor_ >= tape_->opCount()) tapeDivergence();
-  const TapeOp& op = tape_->op(cursor_);
-  if (op.kind != kind) tapeDivergence();
-  // Storing the scalar back into the tape only serves the bypass path
-  // (replayStored) — skipping the store when bypass is off keeps the
-  // replay inner loop read-only over the tape (satellite benefit on
-  // small circuits, where the store is a measurable share of replay).
-  if (mode_ == Mode::Capture || store_values_) tape_->setOpValue(cursor_, value);
-  ++cursor_;
-  if (mode_ == Mode::Capture) return;  // values applied by a later pass
-  applyTapeOp(op, value, sys_.matrix(), sys_.rhs());
-}
-
-void Stamper::conductance(NodeId a, NodeId b, double g) {
-  if (consumingTape()) {
-    replayOp(TapeOp::Kind::Conductance, g);
+void Stamper::stamp(TapeOp::Kind kind, double value, int a, int b, int c, int d) {
+  if (mode_ == Mode::Replay) {
+    if (cursor_ >= tape_->opCount() || tape_->op(cursor_).kind != kind) tapeDivergence();
+    *tape_->opValues(cursor_++) = value;
     return;
   }
-  const int ia = nodeIndex(a);
-  const int ib = nodeIndex(b);
-  if (mode_ == Mode::Record) {
-    TapeOp op;
-    op.kind = TapeOp::Kind::Conductance;
-    SparseMatrix& mat = sys_.matrix();
-    if (ia >= 0) op.m[0] = static_cast<uint32_t>(mat.entryHandle(ia, ia));
-    if (ib >= 0) op.m[1] = static_cast<uint32_t>(mat.entryHandle(ib, ib));
-    if (ia >= 0 && ib >= 0) {
-      op.m[2] = static_cast<uint32_t>(mat.entryHandle(ia, ib));
-      op.m[3] = static_cast<uint32_t>(mat.entryHandle(ib, ia));
-    }
-    recordOp(op, g);
-    return;
-  }
-  if (ia >= 0) addMatrix(ia, ia, g);
-  if (ib >= 0) addMatrix(ib, ib, g);
-  if (ia >= 0 && ib >= 0) {
-    addMatrix(ia, ib, -g);
-    addMatrix(ib, ia, -g);
-  }
-}
-
-void Stamper::currentSource(NodeId a, NodeId b, double i) {
-  if (consumingTape()) {
-    replayOp(TapeOp::Kind::CurrentSource, i);
-    return;
-  }
-  const int ia = nodeIndex(a);
-  const int ib = nodeIndex(b);
-  if (mode_ == Mode::Record) {
-    TapeOp op;
-    op.kind = TapeOp::Kind::CurrentSource;
-    if (ia >= 0) op.r[0] = static_cast<uint32_t>(ia);
-    if (ib >= 0) op.r[1] = static_cast<uint32_t>(ib);
-    recordOp(op, i);
-    return;
-  }
-  if (ia >= 0) addRhs(ia, -i);
-  if (ib >= 0) addRhs(ib, i);
-}
-
-void Stamper::transconductance(NodeId a, NodeId b, NodeId c, NodeId d, double gm) {
-  if (consumingTape()) {
-    replayOp(TapeOp::Kind::Transconductance, gm);
-    return;
-  }
-  const int ia = nodeIndex(a);
-  const int ib = nodeIndex(b);
-  const int ic = nodeIndex(c);
-  const int id = nodeIndex(d);
-  if (mode_ == Mode::Record) {
-    TapeOp op;
-    op.kind = TapeOp::Kind::Transconductance;
-    SparseMatrix& mat = sys_.matrix();
-    if (ia >= 0 && ic >= 0) op.m[0] = static_cast<uint32_t>(mat.entryHandle(ia, ic));
-    if (ia >= 0 && id >= 0) op.m[1] = static_cast<uint32_t>(mat.entryHandle(ia, id));
-    if (ib >= 0 && ic >= 0) op.m[2] = static_cast<uint32_t>(mat.entryHandle(ib, ic));
-    if (ib >= 0 && id >= 0) op.m[3] = static_cast<uint32_t>(mat.entryHandle(ib, id));
-    recordOp(op, gm);
-    return;
-  }
-  if (ia >= 0 && ic >= 0) addMatrix(ia, ic, gm);
-  if (ia >= 0 && id >= 0) addMatrix(ia, id, -gm);
-  if (ib >= 0 && ic >= 0) addMatrix(ib, ic, -gm);
-  if (ib >= 0 && id >= 0) addMatrix(ib, id, gm);
-}
-
-void Stamper::voltageBranch(size_t branch_index, NodeId plus, NodeId minus, double v_value) {
-  if (consumingTape()) {
-    replayOp(TapeOp::Kind::VoltageBranch, v_value);
-    return;
-  }
-  const int row = static_cast<int>(branch_index);
-  const int ip = nodeIndex(plus);
-  const int im = nodeIndex(minus);
-  if (mode_ == Mode::Record) {
-    TapeOp op;
-    op.kind = TapeOp::Kind::VoltageBranch;
-    SparseMatrix& mat = sys_.matrix();
-    if (ip >= 0) op.m[0] = static_cast<uint32_t>(mat.entryHandle(ip, row));
-    if (im >= 0) op.m[1] = static_cast<uint32_t>(mat.entryHandle(im, row));
-    if (ip >= 0) op.m[2] = static_cast<uint32_t>(mat.entryHandle(row, ip));
-    if (im >= 0) op.m[3] = static_cast<uint32_t>(mat.entryHandle(row, im));
-    op.r[0] = static_cast<uint32_t>(row);
-    recordOp(op, v_value);
-    return;
-  }
-  // KCL coupling: branch current leaves `plus`, enters `minus`.
-  if (ip >= 0) addMatrix(ip, row, 1.0);
-  if (im >= 0) addMatrix(im, row, -1.0);
-  // Branch equation: v(plus) - v(minus) = v_value.
-  if (ip >= 0) addMatrix(row, ip, 1.0);
-  if (im >= 0) addMatrix(row, im, -1.0);
-  addRhs(row, v_value);
-}
-
-void Stamper::addMatrix(int row, int col, double value) {
-  if (consumingTape()) {
-    replayOp(TapeOp::Kind::Matrix, value);
-    return;
-  }
-  if (mode_ == Mode::Record) {
-    TapeOp op;
-    op.kind = TapeOp::Kind::Matrix;
-    if (row >= 0 && col >= 0) {
-      op.m[0] = static_cast<uint32_t>(
-          sys_.matrix().entryHandle(static_cast<size_t>(row), static_cast<size_t>(col)));
-    }
-    recordOp(op, value);
-    return;
-  }
-  if (row < 0 || col < 0) return;
-  sys_.matrix().add(static_cast<size_t>(row), static_cast<size_t>(col), value);
-}
-
-void Stamper::addRhs(int row, double value) {
-  if (consumingTape()) {
-    replayOp(TapeOp::Kind::Rhs, value);
-    return;
-  }
-  if (mode_ == Mode::Record) {
-    TapeOp op;
-    op.kind = TapeOp::Kind::Rhs;
-    if (row >= 0) op.r[0] = static_cast<uint32_t>(row);
-    recordOp(op, value);
-    return;
-  }
-  if (row < 0) return;
-  sys_.rhs()[static_cast<size_t>(row)] += value;
+  const TapeOp op = resolveOp(kind, sys_.matrix(), a, b, c, d);
+  if (mode_ == Mode::Record) *tape_->pushOp(op) = value;
+  applyOpWrites(op, &value, 1, sys_.matrix().values(), sys_.rhs().data());
 }
 
 void ReactiveStamper::capacitance(NodeId a, NodeId b, double c) {

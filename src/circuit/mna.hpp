@@ -2,23 +2,22 @@
 // through. Unknown ordering: node voltages [0, numNodes) followed by
 // branch currents [numNodes, numNodes + numBranches).
 //
-// The Stamper has four modes. Direct (default) resolves every write
+// The Stamper has three modes. Direct (default) resolves every write
 // by coordinates through the matrix's hash index. Record additionally
 // captures each high-level call as a TapeOp — the resolved entry
-// handles and RHS slots — into an AssemblyTape. Replay consumes the
-// tape instead of resolving: the steady-state Newton inner loop then
-// contains zero hash lookups, zero ground checks, and zero allocation.
-// Capture consumes the tape like Replay (same cursor protocol, same
-// divergence checks) but only stores each call's scalar into the tape
-// without touching the matrix/RHS — the parallel sharded assembler
-// evaluates devices concurrently in Capture mode (disjoint per-device
-// op spans, so no data races) and applies the captured values in a
-// separate deterministic pass.
+// handles and RHS slots — into an AssemblyTape, writing through in
+// call order. Replay consumes the tape: each call only checks its op
+// kind and stores its value into the tape's value slab. The tape's
+// compiled scatter program then writes the matrix and RHS in one loop,
+// so the steady-state Newton inner loop contains zero hash lookups,
+// zero ground checks, and zero allocation — and devices evaluated
+// concurrently (disjoint op spans) never touch shared state.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/node.hpp"
@@ -53,7 +52,7 @@ class MnaSystem {
   std::vector<double> rhs_;
 };
 
-/// One recorded high-level Stamper call. `m` holds SparseMatrix value
+/// One recorded high-level Stamper call. `m` holds matrix value
 /// handles, `r` absolute RHS indices; kNone marks a write dropped on
 /// ground at record time. Every Stamper call records exactly one op —
 /// including fully-dropped ones — so record and replay stay in step.
@@ -73,13 +72,82 @@ struct TapeOp {
   std::array<uint32_t, 2> r = {kNone, kNone};
 };
 
-/// Recorded assembly of one circuit into one MnaSystem for one analysis
-/// mode: per-device op spans, the scalar each op carried at the last
-/// model evaluation (for bypass replay), the terminal voltages at the
-/// last linearization, and the gmin diagonal handles. Valid as long as
-/// the circuit topology revision and target system are unchanged —
-/// SparseMatrix handles are append-only stable, so pattern growth by a
-/// later-recorded tape never invalidates an earlier one.
+/// Resolves the targets of one op. Node arguments are absolute unknown
+/// indices, negative = ground: (a, b) for Conductance / CurrentSource /
+/// Matrix (row, col); (a, b, c, d) for Transconductance; (plus, minus,
+/// row) for VoltageBranch; (row) for Rhs. Handles are requested in the
+/// Direct mode's write order, so every mode grows the pattern alike.
+/// `Matrix` is SparseMatrix or LaneMatrix.
+template <class Matrix>
+TapeOp resolveOp(TapeOp::Kind kind, Matrix& matrix, int a, int b = -1, int c = -1, int d = -1) {
+  TapeOp op;
+  op.kind = kind;
+  const auto entry = [&](size_t k, int row, int col) {
+    if (row >= 0 && col >= 0) {
+      op.m[k] = static_cast<uint32_t>(
+          matrix.entryHandle(static_cast<size_t>(row), static_cast<size_t>(col)));
+    }
+  };
+  const auto rhs = [&](size_t k, int row) {
+    if (row >= 0) op.r[k] = static_cast<uint32_t>(row);
+  };
+  switch (kind) {
+    case TapeOp::Kind::Conductance:
+      entry(0, a, a);
+      entry(1, b, b);
+      entry(2, a, b);
+      entry(3, b, a);
+      break;
+    case TapeOp::Kind::CurrentSource:
+      rhs(0, a);
+      rhs(1, b);
+      break;
+    case TapeOp::Kind::Transconductance:
+      entry(0, a, c);
+      entry(1, a, d);
+      entry(2, b, c);
+      entry(3, b, d);
+      break;
+    case TapeOp::Kind::VoltageBranch:
+      entry(0, a, c);
+      entry(1, b, c);
+      entry(2, c, a);
+      entry(3, c, b);
+      rhs(0, c);
+      break;
+    case TapeOp::Kind::Matrix:
+      entry(0, a, b);
+      break;
+    case TapeOp::Kind::Rhs:
+      rhs(0, a);
+      break;
+  }
+  return op;
+}
+
+/// Adds one op's writes, in call order, from its `lanes`-wide value run
+/// into matrix values / RHS stored `lanes` doubles per entry and row.
+void applyOpWrites(const TapeOp& op, const double* value, size_t lanes, double* matrix,
+                   double* rhs);
+
+/// Recorded assembly of one circuit into one MNA system (scalar, or K
+/// lanes wide for the ensemble engine) for one analysis mode, compiled
+/// into a scatter program.
+///
+/// The value slab holds one `lanes`-wide run per op (slot i + 1 for op
+/// i) plus slot 0, fixed at 1.0, which the constant ±1 entries of
+/// voltage branches read. Each program entry is one write of one op:
+/// (source slot, sign), grouped into runs that add their sum into one
+/// target. Entries are ordered by (target, device group, op, write
+/// within op), so a target's runs are its device groups in group order,
+/// each summed in op order — with one group that is exactly the
+/// call-order accumulation of Direct mode.
+///
+/// Per device the tape also keeps its op span and its terminal voltages
+/// at the last evaluation (bypass bookkeeping). Valid as long as the
+/// circuit topology revision and target system are unchanged — matrix
+/// handles are append-only stable, so pattern growth by a later-recorded
+/// tape never invalidates an earlier one.
 class AssemblyTape {
  public:
   struct Span {
@@ -87,49 +155,81 @@ class AssemblyTape {
     uint32_t volt_begin = 0, volt_end = 0;
   };
 
-  bool recorded() const { return recorded_; }
   bool matches(const void* system_key, uint64_t revision, size_t device_count) const {
     return recorded_ && system_key_ == system_key && revision_ == revision &&
            spans_.size() == device_count;
   }
   void reset();
 
-  // --- recording protocol (driven by the Assembler + Stamper) --------
-  void beginRecording(const void* system_key, uint64_t revision);
+  // --- recording protocol (driven by the assemblers + stampers) ------
+  void beginRecording(const void* system_key, uint64_t revision, size_t lanes = 1);
   void beginDevice();
-  void recordTerminalVoltage(double v) { v_last_.push_back(v); }
+  /// Snapshot one terminal's `lanes`-wide voltage run.
+  void recordTerminalVoltages(const double* v) { v_last_.insert(v_last_.end(), v, v + lanes_); }
   void endDevice();
-  /// Seals the tape and resolves the per-node gmin diagonal handles.
-  void finishRecording(SparseMatrix& matrix, size_t num_nodes);
-  /// Appends one op and applies it (record mode write-through).
-  void pushOp(const TapeOp& op, double value) {
-    ops_.push_back(op);
-    op_values_.push_back(value);
+  /// Appends one op and returns its (zeroed) value run in the slab.
+  double* pushOp(const TapeOp& op);
+  /// Seals the tape: resolves the per-node gmin diagonal handles and
+  /// compiles the scatter program. `device_group` (empty = one group)
+  /// labels each device's group; `parts` splits the program into that
+  /// many target ranges for a parallel scatter.
+  template <class Matrix>
+  void finishRecording(Matrix& matrix, size_t num_nodes,
+                       std::span<const uint32_t> device_group = {}, size_t parts = 1) {
+    gmin_handles_.resize(num_nodes);
+    for (size_t n = 0; n < num_nodes; ++n) gmin_handles_[n] = matrix.entryHandle(n, n);
+    compile(device_group, parts, matrix.nonZeros(), matrix.size());
+    recorded_ = true;
   }
 
   // --- replay access -------------------------------------------------
-  size_t deviceCount() const { return spans_.size(); }
+  size_t lanes() const { return lanes_; }
   const Span& span(size_t device) const { return spans_[device]; }
   size_t opCount() const { return ops_.size(); }
   const TapeOp& op(size_t i) const { return ops_[i]; }
-  void setOpValue(size_t i, double v) { op_values_[i] = v; }
-  double opValue(size_t i) const { return op_values_[i]; }
-  double vLast(size_t k) const { return v_last_[k]; }
-  void setVLast(size_t k, double v) { v_last_[k] = v; }
-  const std::vector<size_t>& gminHandles() const { return gmin_handles_; }
+  /// Op i's `lanes`-wide value run, as of its device's last evaluation.
+  double* opValues(size_t i) { return slab_.data() + (i + 1) * lanes_; }
+  const double* opValues(size_t i) const { return slab_.data() + (i + 1) * lanes_; }
+  /// Terminal snapshot k's `lanes`-wide run (k in a device's volt span).
+  double* vLast(size_t k) { return v_last_.data() + k * lanes_; }
+  const double* vLast(size_t k) const { return v_last_.data() + k * lanes_; }
 
-  /// Re-applies a device's recorded ops with their last-evaluated
-  /// scalars: the SPICE bypass path — no model evaluation at all.
-  void replayStored(size_t device, SparseMatrix& matrix, std::vector<double>& rhs) const;
+  /// Target ranges of the scatter program (`parts` at compile time,
+  /// fewer when there are fewer targets).
+  size_t scatterParts() const { return part_begin_.size() - 1; }
+  /// Adds the slab into every target of one part. `matrix` / `rhs`
+  /// hold `lanes` doubles per entry / row and must be zeroed; parts
+  /// write disjoint targets, so they may run concurrently.
+  void scatter(size_t part, double* matrix, double* rhs) const;
+  /// Adds gmin on every node diagonal, all lanes.
+  void addGmin(double* matrix, double gmin) const;
 
  private:
+  struct Entry {
+    double sign;
+    uint32_t slot;
+  };
+  /// Entries [end of the previous run, end) sum into `target`.
+  struct Run {
+    uint32_t target;
+    uint32_t end;
+  };
+
+  void compile(std::span<const uint32_t> device_group, size_t parts, size_t matrix_targets,
+               size_t rhs_targets);
+
   std::vector<TapeOp> ops_;
-  std::vector<double> op_values_;  ///< scalar per op at last evaluation
-  std::vector<double> v_last_;     ///< terminal voltages at last linearization
-  std::vector<Span> spans_;        ///< per device, in circuit order
+  std::vector<double> slab_;    ///< (1 + opCount) * lanes values
+  std::vector<double> v_last_;  ///< terminal snapshots * lanes
+  std::vector<Span> spans_;     ///< per device, in circuit order
   std::vector<size_t> gmin_handles_;
+  std::vector<Entry> entries_;
+  std::vector<Run> runs_;        ///< matrix targets first, then RHS rows
+  size_t matrix_runs_ = 0;
+  std::vector<uint32_t> part_begin_ = {0, 0};  ///< first run of each part, then runs_.size()
   const void* system_key_ = nullptr;
   uint64_t revision_ = 0;
+  size_t lanes_ = 1;
   bool recorded_ = false;
 };
 
@@ -143,59 +243,61 @@ class Stamper {
   explicit Stamper(MnaSystem& system) : sys_(system) {}
 
   /// Two-terminal conductance.
-  void conductance(NodeId a, NodeId b, double g);
+  void conductance(NodeId a, NodeId b, double g) {
+    stamp(TapeOp::Kind::Conductance, g, nodeIndex(a), nodeIndex(b));
+  }
 
   /// Independent/companion current source: `i` flows from a to b.
-  void currentSource(NodeId a, NodeId b, double i);
+  void currentSource(NodeId a, NodeId b, double i) {
+    stamp(TapeOp::Kind::CurrentSource, i, nodeIndex(a), nodeIndex(b));
+  }
 
   /// Transconductance: current gm*(vc - vd) flows from a to b.
-  void transconductance(NodeId a, NodeId b, NodeId c, NodeId d, double gm);
+  void transconductance(NodeId a, NodeId b, NodeId c, NodeId d, double gm) {
+    stamp(TapeOp::Kind::Transconductance, gm, nodeIndex(a), nodeIndex(b), nodeIndex(c),
+          nodeIndex(d));
+  }
 
   /// Voltage-defined branch (V source, inductor, VCVS):
   ///   KCL: branch current `ib` leaves `plus`, enters `minus`;
   ///   branch row: v(plus) - v(minus) - sum(coeffs) = v_value.
   /// Call branchVoltageRow then add extra dependencies via addMatrix.
-  void voltageBranch(size_t branch_index, NodeId plus, NodeId minus, double v_value);
+  void voltageBranch(size_t branch_index, NodeId plus, NodeId minus, double v_value) {
+    stamp(TapeOp::Kind::VoltageBranch, v_value, nodeIndex(plus), nodeIndex(minus),
+          static_cast<int>(branch_index));
+  }
 
   /// Raw access for exotic stamps. Indices are absolute unknown indices;
   /// negative = ground (dropped).
-  void addMatrix(int row, int col, double value);
-  void addRhs(int row, double value);
+  void addMatrix(int row, int col, double value) {
+    stamp(TapeOp::Kind::Matrix, value, row, col);
+  }
+  void addRhs(int row, double value) { stamp(TapeOp::Kind::Rhs, value, row); }
 
   /// Absolute unknown index of node n (or -1 for ground).
   int nodeIndex(NodeId n) const { return isGround(n) ? -1 : n; }
 
   size_t numNodes() const { return sys_.numNodes(); }
 
-  // --- tape protocol (used by the Assembler) -------------------------
+  // --- tape protocol (used by the assemblers) ------------------------
   /// Switch to record mode: every call resolves handles once and
   /// appends a TapeOp to `tape` while writing through.
   void startRecording(AssemblyTape& tape);
-  /// Switch to replay mode: calls consume ops from `tape` at the
-  /// cursor instead of resolving coordinates. `store_values` writes
-  /// each replayed scalar back into the tape — required whenever the
-  /// bypass path may later replayStored() them, pure overhead
-  /// otherwise.
-  void startReplay(AssemblyTape& tape, bool store_values = true);
-  /// Switch to capture mode: calls consume ops from `tape` like replay
-  /// but only update the stored op scalars — nothing is written to the
-  /// matrix or RHS. Safe to run concurrently on disjoint device spans.
-  void startCapture(AssemblyTape& tape);
+  /// Switch to replay mode: calls consume ops from `tape` at the cursor
+  /// and only store their values into its slab — nothing is written to
+  /// the matrix or RHS. Safe to run concurrently on disjoint op spans.
+  void startReplay(AssemblyTape& tape);
   size_t cursor() const { return cursor_; }
   void seek(size_t op_cursor) { cursor_ = op_cursor; }
 
  private:
-  enum class Mode : uint8_t { Direct, Record, Replay, Capture };
+  enum class Mode : uint8_t { Direct, Record, Replay };
 
-  bool consumingTape() const { return mode_ == Mode::Replay || mode_ == Mode::Capture; }
-
-  void recordOp(const TapeOp& op, double value);
-  void replayOp(TapeOp::Kind kind, double value);
+  void stamp(TapeOp::Kind kind, double value, int a, int b = -1, int c = -1, int d = -1);
 
   MnaSystem& sys_;
   AssemblyTape* tape_ = nullptr;
   Mode mode_ = Mode::Direct;
-  bool store_values_ = true;
   size_t cursor_ = 0;
 };
 

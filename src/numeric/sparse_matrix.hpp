@@ -28,6 +28,8 @@ class SparseMatrix {
   void addAt(size_t handle, double value) { values_[handle] += value; }
   void setAt(size_t handle, double value) { values_[handle] = value; }
   double at(size_t handle) const { return values_[handle]; }
+  /// Value array indexed by handle (assembly scatters write it).
+  double* values() { return values_.data(); }
 
   /// Accumulate by coordinates (slow path; creates the entry if new).
   void add(size_t row, size_t col, double value) { addAt(entryHandle(row, col), value); }

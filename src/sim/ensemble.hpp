@@ -107,9 +107,12 @@ class EnsembleSimulator {
   /// (DeviceLaneState::lane_evaluations summed over the devices).
   size_t laneEvaluations() const;
   /// Phase wall-time attribution over every solve this ensemble has run
-  /// (see SimPhaseTimes; model_eval_sec reads 0, the lane assembler
-  /// evaluates and scatters in one pass).
-  const SimPhaseTimes& phaseTimes() const { return phases_; }
+  /// (see SimPhaseTimes).
+  SimPhaseTimes phaseTimes() const {
+    SimPhaseTimes t = phases_;
+    t.model_eval_sec = assembler_.modelEvalSeconds();
+    return t;
+  }
 
  private:
   LaneContext contextFor(const std::vector<double>& x, double time, double dt,

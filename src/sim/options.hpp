@@ -104,15 +104,14 @@ struct SimOptions {
 
   // Parallel sharded assembly (circuit/assembly ShardedAssembler):
   // devices are sharded by the partition's island labels (hash fallback
-  // without one), linearized on parallelForChunked workers with
-  // same-model MOSFETs batched through the SoA lane kernels, and
-  // applied with a deterministic border reduction — results are
-  // bit-identical across every VLS_THREADS / assembly_threads /
-  // device_batch_width setting, but differ from serial assembly at the
-  // ~1e-7 relative level (lane kernels vs scalar exp). Off by default.
+  // without one) and linearized on parallelForChunked workers with
+  // same-model MOSFETs batched through the SoA lane kernels; the scatter
+  // then runs in parallel over disjoint target ranges, adding the
+  // shards' sums of a shared target in shard order. Results are
+  // bit-identical across every VLS_THREADS setting, but differ from
+  // serial assembly at the ~1e-7 relative level (lane kernels vs scalar
+  // exp). Off by default.
   bool parallel_assembly = false;
-  int assembly_threads = 0;     ///< workers; 0 = the VLS_THREADS pool width
-  int device_batch_width = 8;   ///< MOSFETs per lane-kernel pass [1, kMaxLanes]
 
   // SPICE-style .nodeset: initial guess for every cold operating-point
   // solve (solveOp, the transient/ac/noise OP, dcSweep homotopy

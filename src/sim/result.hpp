@@ -15,10 +15,8 @@ namespace vls {
 /// Cumulative wall-time attribution of the Newton loop's phases across
 /// every solve an engine (Simulator or EnsembleSimulator) has run
 /// (transient + OP + recovery rungs). model_eval_sec is the portion of
-/// assembly_sec spent linearizing device models — only separable under
-/// the scalar engine's parallel assembly, where the evaluate region is
-/// timed apart from the apply/reduce; it reads 0 with the serial
-/// assemblers.
+/// assembly_sec spent in every assembler's device-evaluation pass (the
+/// rest is the scatter, gmin and tape recording).
 struct SimPhaseTimes {
   double assembly_sec = 0.0;
   double model_eval_sec = 0.0;

@@ -55,15 +55,14 @@ Simulator::Simulator(Circuit& circuit, SimOptions options)
           options_.partition, &options_.partition->device_block);
       cfg.num_shards = options_.partition->num_blocks;
     }
-    cfg.num_threads = options_.assembly_threads;
-    cfg.device_batch_width = options_.device_batch_width;
     sharded_ = std::make_unique<ShardedAssembler>(std::move(cfg));
   }
 }
 
 SimPhaseTimes Simulator::phaseTimes() const {
   SimPhaseTimes t = phases_;
-  if (sharded_ != nullptr) t.model_eval_sec = sharded_->modelEvalSeconds();
+  t.model_eval_sec = assembler_.modelEvalSeconds();
+  if (sharded_ != nullptr) t.model_eval_sec += sharded_->modelEvalSeconds();
   return t;
 }
 

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "analysis/fabric_bootstrap.hpp"
 #include "base/error.hpp"
@@ -168,16 +170,40 @@ TEST(Fabric, TransientFlatMatchesBbd) {
   }
 }
 
-// One fabric transient under parallel sharded assembly with the given
-// worker count / batch width (0 threads = the VLS_THREADS pool width).
-TransientResult runParallelFabricTransient(int threads, int batch_width,
+// Sets VLS_THREADS for one scope and restores the previous value.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) {
+    if (const char* old = std::getenv("VLS_THREADS")) {
+      saved_ = old;
+      had_ = true;
+    }
+    setenv("VLS_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ScopedThreads() {
+    if (had_) {
+      setenv("VLS_THREADS", saved_.c_str(), 1);
+    } else {
+      unsetenv("VLS_THREADS");
+    }
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  std::string saved_;
+  bool had_ = false;
+};
+
+// One fabric transient under parallel sharded assembly on a pool of
+// `threads` workers.
+TransientResult runParallelFabricTransient(int threads,
                                            std::shared_ptr<FaultInjector> injector = nullptr) {
+  const ScopedThreads pool_width(threads);
   Circuit c;
   const FabricHandles fab = buildFabric(c, smallSpec());
   SimOptions opt = fabricOptions(c, smallSpec());
   applyFabricSolverOptions(opt, fab);
-  opt.assembly_threads = threads;
-  opt.device_batch_width = batch_width;
   opt.fault_injector = std::move(injector);
   Simulator sim(c, opt);
   return sim.transient(3e-9, 0.1e-9);
@@ -201,11 +227,9 @@ void expectBitIdentical(const TransientResult& a, const TransientResult& b) {
 }
 
 TEST(Fabric, ParallelAssemblyInvariance) {
-  const TransientResult t1 = runParallelFabricTransient(1, 8);
-  const TransientResult t4 = runParallelFabricTransient(4, 8);
-  const TransientResult t1_scalar = runParallelFabricTransient(1, 1);
+  const TransientResult t1 = runParallelFabricTransient(1);
+  const TransientResult t4 = runParallelFabricTransient(4);
   expectBitIdentical(t1, t4);
-  expectBitIdentical(t1, t1_scalar);
 }
 
 TEST(Fabric, ParallelAssemblyMatchesSerial) {
@@ -217,7 +241,7 @@ TEST(Fabric, ParallelAssemblyMatchesSerial) {
   Simulator serial(serial_c, opt);
   const TransientResult tr_serial = serial.transient(t_stop, 0.1e-9);
 
-  const TransientResult tr_par = runParallelFabricTransient(4, 8);
+  const TransientResult tr_par = runParallelFabricTransient(4);
   EXPECT_EQ(tr_serial.recovery_events.size(), tr_par.recovery_events.size());
 
   // Lane-kernel vs scalar model evaluation differs at the ~1e-7 level,
@@ -242,9 +266,9 @@ TEST(Fabric, ParallelAssemblyFaultInjectionInvariant) {
   spec.arm_time = 1e-9;
   spec.max_fires = 2;
   const TransientResult t1 =
-      runParallelFabricTransient(1, 8, std::make_shared<FaultInjector>(spec));
+      runParallelFabricTransient(1, std::make_shared<FaultInjector>(spec));
   const TransientResult t4 =
-      runParallelFabricTransient(4, 8, std::make_shared<FaultInjector>(spec));
+      runParallelFabricTransient(4, std::make_shared<FaultInjector>(spec));
   EXPECT_GE(t1.rejected_steps, 1u);
   expectBitIdentical(t1, t4);
 }

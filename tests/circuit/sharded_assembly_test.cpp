@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "base/error.hpp"
 #include "cells/sstvs.hpp"
 #include "circuit/circuit.hpp"
+#include "circuit/ensemble_assembly.hpp"
 #include "devices/passive.hpp"
 #include "devices/sources.hpp"
 
@@ -161,24 +164,53 @@ TEST(ShardedAssembly, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ShardedAssembly, BitIdenticalAcrossBatchWidths) {
+  // Width only chunks the batch; every width runs the same elementwise
+  // lane kernels, so assembled values are bitwise invariant — in DC and
+  // trapezoidal contexts, and with bypass engaged for all or part of
+  // the devices.
   ShardedFixture f;
-  const EvalContext ctx = f.ctx();
+  const EvalContext tctx = f.ctx(IntegrationMethod::Trapezoidal, 1e-12);
+  for (const auto& dev : f.c.devices()) dev->startTransient(tctx);
+  std::vector<double> half_moved = f.x;
+  for (size_t i = 0; i < half_moved.size() / 2; ++i) half_moved[i] += 0.01;
+  EvalContext moved_ctx = tctx;
+  moved_ctx.x = half_moved;
+
+  AssemblyOptions settle;  // bypass enabled but gated off (settle iterations)
+  settle.enable_bypass = true;
+  AssemblyOptions bypass = settle;
+  bypass.allow_bypass_now = true;
+  struct Pass {
+    const char* label;
+    EvalContext ctx;
+    AssemblyOptions options;
+  };
+  const Pass passes[] = {
+      {"op record", f.ctx(), {}},
+      {"op replay", f.ctx(), {}},
+      {"tran record", tctx, settle},
+      {"tran replay", tctx, settle},
+      {"tran bypass", tctx, bypass},
+      {"tran partial bypass", moved_ctx, bypass},
+  };
+
   MnaSystem sys_w8 = f.system();
   MnaSystem sys_w1 = f.system();
   MnaSystem sys_w3 = f.system();
   ShardedAssembler w8(f.config(1, /*width=*/8));
   ShardedAssembler w1(f.config(1, /*width=*/1));
   ShardedAssembler w3(f.config(1, /*width=*/3));
-  for (int pass = 0; pass < 2; ++pass) {
-    w8.assemble(sys_w8, f.c, ctx);
-    w1.assemble(sys_w1, f.c, ctx);
-    w3.assemble(sys_w3, f.c, ctx);
+  for (const Pass& pass : passes) {
+    w8.assemble(sys_w8, f.c, pass.ctx, pass.options);
+    w1.assemble(sys_w1, f.c, pass.ctx, pass.options);
+    w3.assemble(sys_w3, f.c, pass.ctx, pass.options);
+    expectIdentical(sys_w1, sys_w8, pass.label);
+    expectIdentical(sys_w3, sys_w8, pass.label);
   }
-  // Width only chunks the batch; every width runs the same elementwise
-  // lane kernels, so assembled values are bitwise invariant.
-  expectIdentical(sys_w1, sys_w8, "width 1 vs 8");
-  expectIdentical(sys_w3, sys_w8, "width 3 vs 8");
   EXPECT_GT(w1.batchedEvaluations(), 0u);
+  EXPECT_GT(w1.bypassedEvaluations(), 0u);
+  EXPECT_EQ(w1.bypassedEvaluations(), w8.bypassedEvaluations());
+  EXPECT_EQ(w3.bypassedEvaluations(), w8.bypassedEvaluations());
 }
 
 TEST(ShardedAssembly, BypassReplaysExactValues) {
@@ -277,6 +309,142 @@ TEST(ShardedAssembly, StaleStampSequenceDetected) {
   sharded.assemble(sys, c, ctx);
   toggle.extra = true;  // changes the stamp sequence, no revision bump
   EXPECT_THROW(sharded.assemble(sys, c, ctx), Error);
+}
+
+/// Adds `value` into matrix entry (a, a) and RHS row a, in every lane;
+/// bypass-capable, so a quiet replay keeps its slab values.
+class OrderWriter : public Device {
+ public:
+  OrderWriter(std::string name, NodeId a, double value)
+      : Device(std::move(name)), a_(a), value_(value) {}
+  void stamp(Stamper& stamper, const EvalContext&) override {
+    stamper.addMatrix(a_, a_, value_);
+    stamper.addRhs(a_, value_);
+  }
+  void stampLanes(LaneStamper& stamper, const LaneContext& ctx, DeviceLaneState*) override {
+    const std::vector<double> v(ctx.lanes, value_);
+    stamper.addMatrix(a_, a_, v.data());
+    stamper.addRhs(a_, v.data());
+  }
+  bool supportsBypass() const override { return true; }
+  size_t terminalCount() const override { return 1; }
+  NodeId terminalNode(size_t) const override { return a_; }
+
+ private:
+  NodeId a_;
+  double value_;
+};
+
+/// conductance(a, a): four writes (+g, +g, -g, -g) to one entry.
+class SelfConductance : public Device {
+ public:
+  SelfConductance(std::string name, NodeId a, double g) : Device(std::move(name)), a_(a), g_(g) {}
+  void stamp(Stamper& stamper, const EvalContext&) override { stamper.conductance(a_, a_, g_); }
+  void stampLanes(LaneStamper& stamper, const LaneContext&, DeviceLaneState*) override {
+    stamper.conductanceUniform(a_, a_, g_);
+  }
+  size_t terminalCount() const override { return 1; }
+  NodeId terminalNode(size_t) const override { return a_; }
+
+ private:
+  NodeId a_;
+  double g_;
+};
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Bitwise equality of an assembled system with the expected (a, a)
+/// entry and row-a RHS values.
+void expectAddition(const MnaSystem& sys, NodeId a, double matrix, double rhs, const char* label) {
+  EXPECT_EQ(bits(sys.matrix().toDense()[a][a]), bits(matrix)) << label << ": matrix";
+  EXPECT_EQ(bits(sys.rhs()[a]), bits(rhs)) << label << ": rhs";
+}
+
+TEST(ShardedAssembly, ScatterKeepsAdditionOrder) {
+  // 1e16 + 1 rounds back to 1e16, so reordering these writes changes
+  // their sum. In op order (a, a) gets 1e16, +1, +1, -1, -1, -1e16, 1
+  // (sum 1) and row a gets 1e16, -1e16, 1 (sum 1); reversed, or with
+  // the conductance's four writes moved behind the others, either sum
+  // reads 0.
+  constexpr double kBig = 1e16;
+  Circuit c;
+  const NodeId a = c.node("a");
+  c.add<OrderWriter>("w_big", a, kBig);
+  c.add<SelfConductance>("g_self", a, 1.0);
+  c.add<OrderWriter>("w_neg", a, -kBig);
+  c.add<OrderWriter>("w_one", a, 1.0);
+  ASSERT_EQ(c.assignBranchIndices(), 0u);
+  const std::vector<double> x(c.nodeCount(), 0.0);
+  EvalContext ctx;
+  ctx.x = x;
+
+  MnaSystem reference(c.nodeCount(), 0);
+  assembleDirect(reference, c, ctx);
+  const double direct_matrix = reference.matrix().toDense()[a][a];
+  const double direct_rhs = reference.rhs()[a];
+  ASSERT_EQ(direct_rhs, 1.0);  // the op-order sum
+
+  // Serial replay and a fully bypassed replay.
+  {
+    AssemblyOptions bypass;
+    bypass.enable_bypass = true;
+    bypass.allow_bypass_now = true;
+    MnaSystem sys(c.nodeCount(), 0);
+    Assembler assembler;
+    assembler.assemble(sys, c, ctx, bypass);
+    expectAddition(sys, a, direct_matrix, direct_rhs, "serial record");
+    assembler.assemble(sys, c, ctx);
+    expectAddition(sys, a, direct_matrix, direct_rhs, "serial replay");
+    assembler.assemble(sys, c, ctx, bypass);
+    EXPECT_EQ(assembler.bypassedEvaluations(), 3u);
+    expectAddition(sys, a, direct_matrix, direct_rhs, "bypassed replay");
+  }
+
+  // Lane replay, every lane.
+  for (const size_t K : {size_t{1}, size_t{4}}) {
+    EnsembleSystem sys(c.nodeCount(), 0, K);
+    EnsembleAssembler assembler(c, sys);
+    const std::vector<double> xs(c.nodeCount() * K, 0.0);
+    const std::vector<double> zeros(K, 0.0);
+    LaneContext lctx;
+    lctx.x = xs;
+    lctx.zero = zeros.data();
+    lctx.lanes = K;
+    const std::vector<DeviceLaneState*> states(c.devices().size(), nullptr);
+    for (int pass = 0; pass < 2; ++pass) {
+      assembler.assemble(lctx, states);
+      const size_t h = sys.matrix().entryHandle(a, a);
+      for (size_t l = 0; l < K; ++l) {
+        EXPECT_EQ(bits(sys.matrix().value(h, l)), bits(direct_matrix))
+            << "K=" << K << " pass " << pass << " lane " << l << ": matrix";
+        EXPECT_EQ(bits(sys.rhsLanes(a)[l]), bits(direct_rhs))
+            << "K=" << K << " pass " << pass << " lane " << l << ": rhs";
+      }
+    }
+  }
+
+  // Sharded replay over 2 shards, w_neg alone on shard 1: each shard
+  // sums its own writes in op order, and the shard sums are added in
+  // shard order.
+  ShardedAssemblyConfig cfg;
+  cfg.device_shard = std::make_shared<const std::vector<int32_t>>(std::vector<int32_t>{0, 0, 1, 0});
+  cfg.num_shards = 2;
+  ShardedAssembler sharded(cfg);
+  MnaSystem sys(c.nodeCount(), 0);
+  sharded.assemble(sys, c, ctx);
+  expectAddition(sys, a, direct_matrix, direct_rhs, "sharded record");
+  sharded.assemble(sys, c, ctx);
+  double matrix0 = 0.0;
+  for (const double v : {kBig, 1.0, 1.0, -1.0, -1.0, 1.0}) matrix0 += v;
+  double rhs0 = 0.0;
+  for (const double v : {kBig, 1.0}) rhs0 += v;
+  double shard1 = 0.0;
+  shard1 += -kBig;
+  const double sharded_matrix = 0.0 + matrix0 + shard1 + ctx.gmin;
+  const double sharded_rhs = 0.0 + rhs0 + shard1;
+  expectAddition(sys, a, sharded_matrix, sharded_rhs, "sharded replay");
+  EXPECT_NE(bits(sharded_matrix), bits(direct_matrix));
+  EXPECT_NE(bits(sharded_rhs), bits(direct_rhs));
 }
 
 }  // namespace

@@ -283,7 +283,7 @@ TEST(Mosfet, DeviceBatchAndLaneStampsAreBitIdentical) {
     const double pol = card->sign();
 
     // Batch side: K devices on disjoint nodes, recorded once through
-    // scalar stamp(), then re-captured through stampDeviceBatch.
+    // scalar stamp(), then replayed through stampDeviceBatch.
     Circuit c;
     std::vector<Device*> devs;
     std::vector<double> x;
@@ -311,14 +311,14 @@ TEST(Mosfet, DeviceBatchAndLaneStampsAreBitIdentical) {
     }
     tape.finishRecording(sys.matrix(), sys.numNodes());
     for (size_t i = 0; i < tape.opCount(); ++i) {
-      tape.setOpValue(i, std::numeric_limits<double>::quiet_NaN());
+      *tape.opValues(i) = std::numeric_limits<double>::quiet_NaN();
     }
     std::vector<uint32_t> op_begin, op_end;
     for (size_t k = 0; k < K; ++k) {
       op_begin.push_back(tape.span(k).op_begin);
       op_end.push_back(tape.span(k).op_end);
     }
-    stamper.startCapture(tape);
+    stamper.startReplay(tape);
     devs[0]->stampDeviceBatch(devs, op_begin, op_end, stamper, ctx);
 
     // Lane side: one device, lane k carrying device k's geometry and
@@ -341,8 +341,8 @@ TEST(Mosfet, DeviceBatchAndLaneStampsAreBitIdentical) {
     lctx.zero = zeros.data();
     lctx.lanes = K;
     EnsembleSystem esys(lc.nodeCount(), 0, K);
-    LaneTape lane_tape;
-    lane_tape.beginRecording(&esys, lc.revision(), 1, K);
+    AssemblyTape lane_tape;
+    lane_tape.beginRecording(&esys, lc.revision(), K);
     LaneStamper lane_stamper(esys);
     lane_stamper.startRecording(lane_tape);
     lane_tape.beginDevice();
@@ -354,10 +354,10 @@ TEST(Mosfet, DeviceBatchAndLaneStampsAreBitIdentical) {
       for (size_t i = 0; i < lane_tape.opCount(); ++i) {
         const size_t j = op_begin[k] + i;
         EXPECT_EQ(lane_tape.op(i).kind, tape.op(j).kind) << "op " << i;
-        EXPECT_EQ(std::bit_cast<uint64_t>(lane_tape.opLanes(i)[k]),
-                  std::bit_cast<uint64_t>(tape.opValue(j)))
+        EXPECT_EQ(std::bit_cast<uint64_t>(lane_tape.opValues(i)[k]),
+                  std::bit_cast<uint64_t>(*tape.opValues(j)))
             << "polarity " << pol << " lane " << k << " op " << i << ": "
-            << lane_tape.opLanes(i)[k] << " vs " << tape.opValue(j);
+            << lane_tape.opValues(i)[k] << " vs " << *tape.opValues(j);
       }
     }
   }
@@ -410,8 +410,8 @@ std::vector<std::vector<uint64_t>> laneKernelTrace(const MosModelRef& card,
   std::vector<std::vector<uint64_t>> trace(K);
   EnsembleSystem sys(c.nodeCount(), 0, K);
   const auto stamp = [&](const LaneContext& at) {
-    LaneTape tape;
-    tape.beginRecording(&sys, c.revision(), 1, K);
+    AssemblyTape tape;
+    tape.beginRecording(&sys, c.revision(), K);
     LaneStamper stamper(sys);
     stamper.startRecording(tape);
     tape.beginDevice();
@@ -419,7 +419,7 @@ std::vector<std::vector<uint64_t>> laneKernelTrace(const MosModelRef& card,
     tape.endDevice();
     for (size_t i = 0; i < tape.opCount(); ++i) {
       for (size_t l = 0; l < K; ++l) {
-        trace[l].push_back(std::bit_cast<uint64_t>(tape.opLanes(i)[l]));
+        trace[l].push_back(std::bit_cast<uint64_t>(tape.opValues(i)[l]));
       }
     }
   };

@@ -5,6 +5,7 @@
 // control, Newton damping or convergence checks moves these numbers,
 // so a refactor of either that claims to be bit-identical must leave
 // them untouched. An intentional output-moving change re-records them.
+// The phase timers of both engines are checked here too.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "devices/passive.hpp"
 #include "devices/sources.hpp"
 #include "sim/ensemble.hpp"
+#include "sim/simulator.hpp"
 
 namespace vls {
 namespace {
@@ -89,6 +91,26 @@ TEST(TransientCounters, EnsembleParameterLanesArePinned) {
     expectTime(rise, rise_at[l], "lane out rise");
     expectTime(fall, fall_at[l], "lane out fall");
   }
+}
+
+TEST(TransientCounters, ModelEvaluationTimedInsideAssembly) {
+  // Every assembler times its device-evaluation pass apart from the
+  // scatter: the evaluation share is positive and never exceeds the
+  // assembly time it is part of, on both engines.
+  HarnessConfig h;
+  h.kind = ShifterKind::Sstvs;
+  ShifterTestbench tb(h);
+  Simulator scalar(tb.circuit(), h.sim);
+  scalar.transient(tb.tStop(), h.dt_max);
+  const SimPhaseTimes scalar_phases = scalar.phaseTimes();
+  EXPECT_GT(scalar_phases.model_eval_sec, 0.0);
+  EXPECT_LE(scalar_phases.model_eval_sec, scalar_phases.assembly_sec);
+
+  EnsembleSimulator lanes(tb.circuit(), 2, h.sim);
+  lanes.transient(tb.tStop(), h.dt_max);
+  const SimPhaseTimes lane_phases = lanes.phaseTimes();
+  EXPECT_GT(lane_phases.model_eval_sec, 0.0);
+  EXPECT_LE(lane_phases.model_eval_sec, lane_phases.assembly_sec);
 }
 
 }  // namespace
